@@ -5,19 +5,31 @@ X-paths, and the pair (S, T) satisfies X∩S = X∩T with dual value k, which
 by weak duality proves k optimal. A hitting-set answer Y is checked with an
 admissible pair of value 0 on g - Y, so no X-path survives; the pair is
 (S∖Y, T∖Y) for the certificate (S, T) of the instance, computed once per
-instance after timing. No check runs an exponential search.
+instance after timing. No check runs an exponential search. The checker
+holds one instance at a time, read back from its file, so outputs should be
+checked grouped by instance.
 """
 
 from __future__ import annotations
 
 
 class Checker:
-    def __init__(self, bp, instances):
+    def __init__(self, bp, paths):
         self.bp = bp
-        self.instances = instances
-        self._ids: dict[int, dict[str, int]] = {}
-        self._hints: dict[int, object] = {}
+        self.paths = paths
+        self._index = -1
+        self._instance = None
+        self._ids: dict[str, int] = {}
+        self._hint = None
         self._verdicts: dict[tuple, str | None] = {}
+
+    def _load(self, index):
+        if index != self._index:
+            text = self.paths[index].read_text(encoding="utf-8")
+            self._index, self._instance = index, self.bp.bgf.parse_instance(text)
+            self._ids = {name: v for v, name in enumerate(self._instance.names)}
+            self._hint = None
+        return self._instance
 
     def check(self, request, stdout: str) -> str | None:
         """None if the output is correct, else the reason it is not."""
@@ -36,10 +48,9 @@ class Checker:
             if not sep:
                 key, value = line.rstrip(":"), ""
             fields.setdefault(key, []).append(value)
-        index = request.instance
-        instance = self.instances[index]
+        instance = self._load(request.instance)
         g, x = instance.graph, instance.x
-        paths = [self._path(index, text) for text in fields.get("path", [])]
+        paths = [self._path(text) for text in fields.get("path", [])]
         if request.argv[0] == "solve":
             k = int(fields["k"][0])
             if fields["certificate"] != ["ok"]:
@@ -47,7 +58,7 @@ class Checker:
             reason = self._packing(g, x, paths, k)
             if reason:
                 return reason
-            s, t = self._set(index, fields["s"][0]), self._set(index, fields["t"][0])
+            s, t = self._set(fields["s"][0]), self._set(fields["t"][0])
             if x & s != x & t:
                 return "X∩S differs from X∩T"
             if self.bp.core.dual_value(g, x, s, t) != k or int(fields["value"][0]) != k:
@@ -61,12 +72,12 @@ class Checker:
             return self._packing(g, x, paths, k)
         if outcome != "hitting-set":
             return f"unknown outcome {outcome!r}"
-        y = self._set(index, fields["y"][0])
+        y = self._set(fields["y"][0])
         if int(fields["size"][0]) != len(y) or len(y) > 2 * k - 2:
             return "hitting set exceeds 2k-2 or misreports its size"
         if fields["audit"] != ["no-x-path"]:
             return "audit not reported clear"
-        return self._hits_every_path(index, y, k)
+        return self._hits_every_path(g, x, y, k)
 
     def _packing(self, g, x, paths, k):
         if len(paths) != k:
@@ -80,13 +91,11 @@ class Checker:
             seen.update(path.vertices)
         return None
 
-    def _hits_every_path(self, index, y, k):
+    def _hits_every_path(self, g, x, y, k):
         core = self.bp.core
-        instance = self.instances[index]
-        g, x = instance.graph, instance.x
-        if index not in self._hints:
-            self._hints[index] = self.bp.solver.certificate(g, x)
-        s, t = self._hints[index].s, self._hints[index].t
+        if self._hint is None:
+            self._hint = self.bp.solver.certificate(g, x)
+        s, t = self._hint.s, self._hint.t
         if x & s != x & t or core.dual_value(g, x, s, t) >= k:
             return "no admissible pair proves fewer than k disjoint X-paths"
         rest, remap = core.delete_vertices(g, y)
@@ -98,20 +107,12 @@ class Checker:
             return "an X-path may survive the removal of Y"
         return None
 
-    def _names(self, index):
-        if index not in self._ids:
-            names = self.instances[index].names
-            self._ids[index] = {name: v for v, name in enumerate(names)}
-        return self._ids[index]
+    def _set(self, text):
+        return frozenset(self._ids[name] for name in text.split())
 
-    def _set(self, index, text):
-        ids = self._names(index)
-        return frozenset(ids[name] for name in text.split())
-
-    def _path(self, index, text):
-        ids = self._names(index)
+    def _path(self, text):
         tokens = text.split()
-        vertices = tuple(ids[name] for name in tokens[0::2])
+        vertices = tuple(self._ids[name] for name in tokens[0::2])
         edges = []
         for token in tokens[1::2]:
             if not token.startswith("#"):

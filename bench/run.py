@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import importlib
 import io
 import json
@@ -139,11 +138,6 @@ def run_workload(args, spec) -> int:
         )
         setups.append(time.perf_counter() - start)
 
-    # The instances stay in memory for the checks. Freezing them keeps the
-    # program's garbage collections from scanning objects that a one-shot
-    # `bidipath` process would not hold.
-    gc.collect()
-    gc.freeze()
     tracer = spans.Tracer(bp) if args.trace else None
     requests = work.requests
     results = []  # (request index, traced, cause, seconds, stdout)
@@ -159,13 +153,18 @@ def run_workload(args, spec) -> int:
     wall = time.perf_counter() - start
     signal.signal(signal.SIGALRM, signal.SIG_DFL)
 
-    checker = check.Checker(bp, work.instances)
+    checker = check.Checker(bp, work.paths)
+    reasons = {}
+    for j in sorted(range(len(results)), key=lambda j: requests[results[j][0] % len(requests)].instance):
+        index, _, cause, _, stdout = results[j]
+        if cause is None:
+            reasons[j] = checker.check(requests[index % len(requests)], stdout)
     failures, wrong = [], {}
     latencies, ok_edges, ok_seconds = [], 0, {}
-    for index, traced, cause, seconds, stdout in results:
+    for j, (index, traced, cause, seconds, stdout) in enumerate(results):
         request = requests[index % len(requests)]
         if cause is None:
-            reason = checker.check(request, stdout)
+            reason = reasons[j]
             if reason is not None:
                 cause = f"check: {reason}"
                 wrong[request.argv] = reason
@@ -206,7 +205,7 @@ def run_workload(args, spec) -> int:
     detail = {
         "workload": args.workload, "seed": seed, "seconds": args.seconds, "trace": args.trace,
         "quick": args.quick, "revision": git_revision(), "deadline_s": work.deadline_s,
-        "instances": len(work.instances), "requests": len(latencies), "wall_s": wall,
+        "instances": len(work.paths), "requests": len(latencies), "wall_s": wall,
         "latency_tail_percentile": tail_pct, "latency_samples": len(latencies),
         "failed_frac": len(failures) / len(results), "failure_causes": causes,
         "setup_rounds_s": setups, "latencies_s": latencies, "failures": failures, "metrics": metrics,

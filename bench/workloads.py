@@ -2,7 +2,9 @@
 
 Each workload is a list of instances, each with the command lines sent for
 it. The seed fixes every instance; the files are written before timing
-starts, and the program only ever sees those files.
+starts, and the program only ever sees those files. Instances are made one
+at a time and not kept, so the benchmark's own memory stays small next to
+the program's.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class Request:
 @dataclass(frozen=True)
 class Workload:
     deadline_s: float
-    instances: tuple  # bidipath.bgf.Instance, one per input file
+    paths: tuple[Path, ...]  # one BGF file per instance
     requests: tuple[Request, ...]
 
 
@@ -62,17 +64,14 @@ def _solve_small(bp, rng, quick):
     sizes = [low + int((high - low + 1) * (i + rng.random()) / count) for i in range(count)]
     rng.shuffle(sizes)
     families = list(FAMILIES)
-    return [
-        (_random(bp, rng, n, families[i % 4]), [("solve",)]) for i, n in enumerate(sizes)
-    ]
+    for i, n in enumerate(sizes):
+        yield _random(bp, rng, n, families[i % 4]), [("solve",)]
 
 
 def _solve_large(bp, rng, quick):
-    out = []
     for i in range(2 if quick else 64):
         n = 30 if quick else 1500
-        out.append((_random(bp, rng, n, ("uniform", "directed")[i % 2]), [("solve",)]))
-    return out
+        yield _random(bp, rng, n, ("uniform", "directed")[i % 2]), [("solve",)]
 
 
 def _hitting_set(bp, rng, quick):
@@ -84,15 +83,13 @@ def _hitting_set(bp, rng, quick):
     # whole deadline, so its rate sets how steady a run is: about 15-20% of
     # instances at n = 600, 40% at n = 1000, where throughput spread by 31%
     # between seeds. There are enough instances that none repeats in a run.
-    out = []
     for i in range(20 if quick else 180):
         if i % 20 == 19:
             instance = sign_broken_chain(bp, rng, rng.randint(10, 20) if quick else rng.randint(2000, 3000))
         else:
             instance = _random(bp, rng, rng.randint(12, 24) if quick else 600, "uniform")
         ks = (1, len(instance.x) // 2 + 1)
-        out.append((instance, [("hitting-set", "-k", str(k)) for k in ks]))
-    return out
+        yield instance, [("hitting-set", "-k", str(k)) for k in ks]
 
 
 # name -> (per-request deadline in seconds, instance builder)
@@ -108,12 +105,12 @@ def build(bp, name: str, seed: int, quick: bool, directory: Path) -> Workload:
     deadline, builder = WORKLOADS[name]
     rng = random.Random(f"{name}:{seed}")
     directory.mkdir(parents=True, exist_ok=True)
-    instances, requests = [], []
+    paths, requests = [], []
     for index, (instance, commands) in enumerate(builder(bp, rng, quick)):
         path = directory / f"i{index:03d}.bgf"
         path.write_text(bp.bgf.format_instance(instance), encoding="utf-8")
-        instances.append(instance)
+        paths.append(path)
         for command in commands:
             argv = (command[0], str(path), *command[1:], "--format", "machine")
             requests.append(Request(argv, index, instance.graph.edge_count))
-    return Workload(deadline, tuple(instances), tuple(requests))
+    return Workload(deadline, tuple(paths), tuple(requests))
