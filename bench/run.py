@@ -7,10 +7,14 @@
 Run from the root of a source checkout; the program is imported from its
 `src/`. A request is one in-process call of `bidipath.cli.main(argv)` in
 `--format machine`, sent by one client in a closed loop (the next request
-leaves when the previous one returns) for `--seconds`. Every output is
-checked after the timer stops. A request fails on a nonzero exit code, an
-exception escaping `main`, a missed deadline, or output that fails its
-check; a failure counts at the deadline in the latency figures.
+leaves when the previous one returns) for `--seconds`, in a fresh process
+per run. Every output is checked after the timer stops. A request fails on
+a nonzero exit code, an exception escaping `main`, a missed deadline, or
+output that fails its check; a failure counts at the deadline in the
+latency figures. A missed deadline is a counted failure; any other failure
+makes the run report `"correct": false` and exit 1. `setup_s` runs from
+process start to the first request, and is the median of SETUP_ROUNDS
+fresh processes.
 
 `--trace 0` prints the end-to-end metrics of BENCHMARK.json; `--trace 1`
 runs each request untraced and then traced, and prints the per-layer
@@ -36,7 +40,7 @@ from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
-SETUP_ROUNDS = 3
+SETUP_ROUNDS = 3  # set-ups per --trace 0 run, each in a fresh process
 PROGRAM_MODULES = ("bgf", "cli", "core", "errors", "generate", "solver")
 
 sys.path.insert(0, str(BENCH))
@@ -55,37 +59,24 @@ def _alarm(signum, frame):
 
 
 def import_program():
-    """A fresh import of the checkout's `bidipath`, with its submodules."""
-    src = ROOT / "src"
-    for name in [m for m in sys.modules if m == "bidipath" or m.startswith("bidipath.")]:
-        del sys.modules[name]
-    if str(src) not in sys.path:
-        sys.path.insert(0, str(src))
-    bp = importlib.import_module("bidipath")
-    if not Path(bp.__file__).resolve().is_relative_to(src.resolve()):
-        raise ImportError(f"bidipath imported from {bp.__file__}, not from {src}")
+    """The checkout's `bidipath`, with the submodules the harness calls."""
+    sys.path.insert(0, str(ROOT / "src"))
     for name in PROGRAM_MODULES:
         importlib.import_module(f"bidipath.{name}")
-    return bp
+    return sys.modules["bidipath"]
 
 
 def git_revision() -> str:
-    head = ROOT / ".git" / "HEAD"
-    if not head.is_file():
+    """HEAD, marked `-dirty` if tracked files differ from it; `unknown`
+    outside a git checkout."""
+    try:
+        return subprocess.run(
+            ["git", f"--git-dir={ROOT / '.git'}", f"--work-tree={ROOT}",
+             "describe", "--always", "--dirty", "--abbrev=40"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
         return "unknown"
-    ref = head.read_text().strip()
-    if not ref.startswith("ref: "):
-        return ref
-    name = ref[5:]
-    loose = ROOT / ".git" / name
-    if loose.is_file():
-        return loose.read_text().strip()
-    packed = ROOT / ".git" / "packed-refs"
-    if packed.is_file():
-        for line in packed.read_text().splitlines():
-            if line.endswith(" " + name):
-                return line.split()[0]
-    return "unknown"
 
 
 def send(bp, argv, deadline, tracer=None, request=-1):
@@ -128,20 +119,19 @@ def tail(latencies):
 
 def run_workload(args, spec) -> int:
     seed = args.seed
-    setups = []
-    for _ in range(SETUP_ROUNDS):
-        start = time.perf_counter()
-        bp = import_program()
-        work = workloads.build(
-            bp, args.workload, seed, args.quick,
-            ROOT / ".bench_build" / "inputs" / f"{args.workload}-{seed}",
-        )
-        setups.append(time.perf_counter() - start)
-
+    bp = import_program()
+    work = workloads.build(
+        bp, args.workload, seed, args.quick,
+        ROOT / ".bench_build" / "inputs" / f"{args.workload}-{seed}",
+    )
     tracer = spans.Tracer(bp) if args.trace else None
     requests = work.requests
     results = []  # (request index, traced, cause, seconds, stdout)
     signal.signal(signal.SIGALRM, _alarm)
+    setups = [*args.prior_setups, time.monotonic() - args.started_at]
+    if args.setup_only:
+        print(json.dumps({"setup_s": setups[-1]}))
+        return 0
     start = time.perf_counter()
     i = 0
     while i == 0 or time.perf_counter() - start < args.seconds:
@@ -159,15 +149,16 @@ def run_workload(args, spec) -> int:
         index, _, cause, _, stdout = results[j]
         if cause is None:
             reasons[j] = checker.check(requests[index % len(requests)], stdout)
-    failures, wrong = [], {}
+    # Only a missed deadline is a counted failure; a wrong output, a crash
+    # or a nonzero exit makes the run incorrect.
+    failures, errors = [], {}
     latencies, ok_edges, ok_seconds = [], 0, {}
     for j, (index, traced, cause, seconds, stdout) in enumerate(results):
         request = requests[index % len(requests)]
-        if cause is None:
-            reason = reasons[j]
-            if reason is not None:
-                cause = f"check: {reason}"
-                wrong[request.argv] = reason
+        if cause is None and reasons[j] is not None:
+            cause = f"check: {reasons[j]}"
+        if cause not in (None, "deadline"):
+            errors[request.argv] = cause
         if cause is None:
             ok_edges += request.edges
             ok_seconds[(index, traced)] = seconds
@@ -223,33 +214,41 @@ def run_workload(args, spec) -> int:
     for name, metric in metrics.items():
         print(f"  {name:40s} {metric['value']:14.6g} {metric['unit']}")
     print(f"  tail = p{tail_pct:.1f} of {len(latencies)} requests; failures {causes or 'none'}")
-    for argv, reason in wrong.items():
-        print(f"  WRONG OUTPUT {reason}: {' '.join(argv)}")
+    for argv, cause in errors.items():
+        print(f"  ERROR {cause}: {' '.join(argv)}")
     print(json.dumps({
-        "correct": not wrong, "attempted": len(results), "failed": len(failures), "metrics": metrics,
+        "correct": not errors, "attempted": len(results), "failed": len(failures), "metrics": metrics,
     }))
-    return 0 if not wrong else 1
+    return 0 if not errors else 1
+
+
+def launch(args) -> int:
+    """Run the workload in a fresh process. With --trace 0, SETUP_ROUNDS - 1
+    fresh processes that only set up come first, and setup_s is the median
+    over all of them of the time from process start to the first request."""
+    argv = [sys.executable, str(Path(__file__).resolve()), "--workload", args.workload,
+            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+    if args.quick:
+        argv.append("--quick")
+    prior = []
+    for _ in range(0 if args.trace else SETUP_ROUNDS - 1):
+        child = subprocess.run([*argv, "--setup-only", "--started-at", repr(time.monotonic())],
+                               capture_output=True, text=True, cwd=ROOT)
+        if child.returncode != 0:
+            print(f"{args.workload}: set-up failed (exit {child.returncode})\n{child.stderr}",
+                  file=sys.stderr)
+            return 1
+        prior.append(json.loads(child.stdout.splitlines()[-1])["setup_s"])
+    argv += ["--prior-setups", *map(repr, prior), "--started-at", repr(time.monotonic())]
+    return subprocess.run(argv, cwd=ROOT).returncode
 
 
 def run_all(args) -> int:
-    """Each workload in a fresh process; prints every metric with its unit."""
+    """Each workload in its own processes; prints every metric with its unit."""
     status = 0
     for name in workloads.WORKLOADS:
-        argv = [sys.executable, str(Path(__file__).resolve()), "--workload", name,
-                "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
-        if args.quick:
-            argv.append("--quick")
-        child = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT)
-        lines = child.stdout.splitlines()
-        print("\n".join(lines[:-1]))
-        try:
-            result = json.loads(lines[-1])
-        except (IndexError, json.JSONDecodeError):
-            print(f"{name}: no result (exit {child.returncode})\n{child.stderr}", file=sys.stderr)
-            status = 1
-            continue
-        if child.returncode != 0 or not result["correct"]:
-            status = 1
+        args.workload = name
+        status |= launch(args)
     return status
 
 
@@ -260,6 +259,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--quick", action="store_true", help="tiny inputs; proves the harness")
+    # Set by launch() for the workload processes it starts.
+    parser.add_argument("--started-at", type=float, help=argparse.SUPPRESS)
+    parser.add_argument("--setup-only", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--prior-setups", type=float, nargs="*", default=[], help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     if args.seconds is None:
@@ -269,6 +272,8 @@ def main(argv=None) -> int:
         return 2
     if args.workload == "all":
         return run_all(args)
+    if args.started_at is None:
+        return launch(args)
     return run_workload(args, spec)
 
 

@@ -69,7 +69,7 @@ def _solve_small(bp, rng, quick):
 
 
 def _solve_large(bp, rng, quick):
-    for i in range(2 if quick else 64):
+    for i in range(2 if quick else 48):
         n = 30 if quick else 1500
         yield _random(bp, rng, n, ("uniform", "directed")[i % 2]), [("solve",)]
 
@@ -83,7 +83,7 @@ def _hitting_set(bp, rng, quick):
     # whole deadline, so its rate sets how steady a run is: about 15-20% of
     # instances at n = 600, 40% at n = 1000, where throughput spread by 31%
     # between seeds. There are enough instances that none repeats in a run.
-    for i in range(20 if quick else 180):
+    for i in range(20 if quick else 140):
         if i % 20 == 19:
             instance = sign_broken_chain(bp, rng, rng.randint(10, 20) if quick else rng.randint(2000, 3000))
         else:
