@@ -50,14 +50,13 @@ from .solver import (
     Certificate,
     HittingSet,
     PackingResult,
+    Solution,
     VerificationResult,
     certificate,
-    gamma_image,
-    has_x_path,
     hitting_set,
     max_disjoint_x_paths,
+    solve,
     verify_certificate,
-    verify_component_correspondence,
 )
 
 __all__ = [
@@ -78,6 +77,7 @@ __all__ = [
     "RestrictedGraph",
     "Sign",
     "SignedPath",
+    "Solution",
     "TutteBergeWitness",
     "VerificationResult",
     "alternating_components",
@@ -90,9 +90,7 @@ __all__ = [
     "from_digraph",
     "from_undirected",
     "gallai_edmonds",
-    "gamma_image",
     "generate_instance",
-    "has_x_path",
     "hitting_set",
     "is_matching",
     "is_valid_path",
@@ -104,8 +102,8 @@ __all__ = [
     "parse_sign_dist",
     "project_path",
     "restrict",
+    "solve",
     "tutte_berge_witness",
     "verify_certificate",
-    "verify_component_correspondence",
     "weak_components",
 ]

@@ -1,7 +1,8 @@
 """Command-line interface: solve, hitting-set, convert, generate, export-dot, verify.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 internal assertion
-failure (a certified quantity failed to verify, which indicates a bug).
+failure (a certified quantity failed to verify, or any other unexpected
+error; either indicates a bug).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from . import oracle
 from .bgf import Instance, format_instance, parse_instance
-from .core import Multigraph, from_digraph, from_undirected
+from .core import Multigraph, delete_vertices, from_digraph, from_undirected
 from .dot import export_dot
 from .errors import (
     BidipathError,
@@ -27,15 +28,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import generate_instance, parse_sign_dist
-from .solver import (
-    HittingSet,
-    PackingResult,
-    certificate,
-    has_x_path,
-    hitting_set,
-    max_disjoint_x_paths,
-    verify_certificate,
-)
+from .solver import Certificate, HittingSet, solve, verify_certificate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -81,8 +74,8 @@ def _render_set(instance: Instance, vs) -> str:
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(_read_text(args.instance))
-    packing = max_disjoint_x_paths(instance.graph, instance.x)
-    cert = certificate(instance.graph, instance.x)
+    solution = solve(instance.graph, instance.x)
+    packing, cert = solution.packing, solution.certificate
     check = verify_certificate(instance.graph, instance.x, cert, packing.k)
     if args.format == "machine":
         print(f"k: {packing.k}")
@@ -111,11 +104,24 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _audit_clear(instance: Instance, result: HittingSet) -> bool:
+    """True iff (S∖Y, T∖Y) proves that g - Y has no X-path: an admissible
+    pair of dual value 0 there. Linear time."""
+    rest, remap = delete_vertices(instance.graph, result.y)
+
+    def kept(vs):
+        return frozenset(remap[v] for v in vs if v in remap)
+
+    proof = Certificate(kept(result.s), kept(result.t), 0)
+    return bool(verify_certificate(rest, kept(instance.x), proof, 0))
+
+
 def _cmd_hitting_set(args) -> int:
     instance = parse_instance(_read_text(args.instance))
-    result = hitting_set(instance.graph, instance.x, args.k)
-    if isinstance(result, PackingResult):
-        shown = result.paths[: args.k]
+    solution = solve(instance.graph, instance.x, args.k)
+    result = solution.hitting_set
+    if result is None:
+        shown = solution.packing.paths[: args.k]
         if args.format == "machine":
             print("outcome: packing")
             print(f"k: {args.k}")
@@ -126,7 +132,7 @@ def _cmd_hitting_set(args) -> int:
             for i, path in enumerate(shown, start=1):
                 print(f"  path {i}: {_render_path_human(instance, path)}")
         return EXIT_OK
-    audit_clear = not has_x_path(instance.graph, instance.x, avoid=result.y)
+    audit_clear = _audit_clear(instance, result)
     if args.format == "machine":
         print("outcome: hitting-set")
         print(f"k: {args.k}")
@@ -140,7 +146,9 @@ def _cmd_hitting_set(args) -> int:
         print(f"  |Y| = {len(result.y)} <= 2k-2 = {2 * args.k - 2}")
         print(f"  audit (no X-path once Y removed): {'ok' if audit_clear else 'FAILED'}")
     if not audit_clear:
-        raise InternalDualityMismatch("hitting set fails to meet every X-path")
+        raise InternalDualityMismatch(
+            "hitting-set audit: (S∖Y, T∖Y) does not have dual value 0 on g - Y"
+        )
     return EXIT_OK
 
 
@@ -186,18 +194,19 @@ def _cmd_generate(args) -> int:
 def _cmd_export_dot(args) -> int:
     instance = parse_instance(_read_text(args.instance))
     packing = cert = hitting = None
-    if args.overlay == "paths":
-        packing = max_disjoint_x_paths(instance.graph, instance.x)
-    elif args.overlay == "certificate":
-        cert = certificate(instance.graph, instance.x)
-    elif args.overlay == "hitting-set":
-        if args.k is None:
-            raise InvalidParameter("--overlay hitting-set requires -k")
-        result = hitting_set(instance.graph, instance.x, args.k)
-        if isinstance(result, HittingSet):
-            hitting = result
+    if args.overlay == "hitting-set" and args.k is None:
+        raise InvalidParameter("--overlay hitting-set requires -k")
+    if args.overlay is not None:
+        threshold = args.k if args.overlay == "hitting-set" else None
+        solution = solve(instance.graph, instance.x, threshold)
+        if args.overlay == "paths":
+            packing = solution.packing
+        elif args.overlay == "certificate":
+            cert = solution.certificate
         else:
-            packing = result
+            hitting = solution.hitting_set
+            if hitting is None:
+                packing = solution.packing
     sys.stdout.write(export_dot(instance, packing, cert, hitting))
     return EXIT_OK
 
@@ -206,8 +215,8 @@ def _verify_one(path: str, limit: int) -> dict:
     report: dict = {"instance": path}
     instance = parse_instance(_read_text(path))
     g, x = instance.graph, instance.x
-    packing = max_disjoint_x_paths(g, x)
-    cert = certificate(g, x)
+    solution = solve(g, x)
+    packing, cert = solution.packing, solution.certificate
     check = verify_certificate(g, x, cert, packing.k)
     report["k"] = packing.k
     report["certificate"] = "ok" if check else check.reason
@@ -314,12 +323,15 @@ def main(argv=None) -> int:
     except InternalDualityMismatch as exc:
         print(f"bidipath: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an input file that cannot be read
         print(f"bidipath: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BidipathError as exc:
         print(f"bidipath: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # any other escape is a bug: one line, no traceback
+        print(f"bidipath: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Multigraph, weak_components
-from .errors import InvalidSeed
+from .errors import InternalDualityMismatch, InvalidSeed
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,9 @@ class _Matcher:
     """One blossom-search state over the simple support of a multigraph.
 
     Scanning is in ascending representative-edge-id order, so the matching,
-    the augmenting paths, and the final forest labels are reproducible.
+    the augmenting paths, and the final forest labels are reproducible. The
+    search labels (even, parent, base) are allocated once; each search
+    resets only the vertices it labelled.
     """
 
     def __init__(self, h: Multigraph):
@@ -84,15 +86,17 @@ class _Matcher:
             key = (u, v) if u < v else (v, u)
             rep.setdefault(key, eid)
         self.rep = rep
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for (u, v), eid in sorted(rep.items(), key=lambda kv: kv[1]):
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))
-        for lst in adj:
-            lst.sort()
-        self.adj = adj
+        # Neighbours in ascending representative-edge-id order.
+        nbrs: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in rep:  # dict order is first-seen order, i.e. edge-id order
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        self.nbrs = nbrs
         self.match = [-1] * self.n
         self.pair_edge: dict[tuple[int, int], int] = {}
+        self.even = [False] * self.n
+        self.parent = [-1] * self.n
+        self.base = list(range(self.n))
 
     def seed(self, edges: Iterable[int]) -> None:
         for eid in sorted(edges):
@@ -101,93 +105,115 @@ class _Matcher:
             self.match[v] = u
             self.pair_edge[(u, v) if u < v else (v, u)] = eid
 
-    def _set_pair(self, u: int, v: int) -> None:
-        self.match[u] = v
-        self.match[v] = u
-        key = (u, v) if u < v else (v, u)
-        self.pair_edge[key] = self.rep[key]
-
-    def _lca(self, a: int, b: int, base: list[int], parent: list[int]) -> int:
-        seen = [False] * self.n
+    def _lca(self, a: int, b: int) -> int:
+        match, parent, base = self.match, self.parent, self.base
+        seen = set()
         v = a
         while True:
             v = base[v]
-            seen[v] = True
-            if self.match[v] == -1:
+            seen.add(v)
+            if match[v] == -1:
                 break
-            v = parent[self.match[v]]
+            v = parent[match[v]]
         v = b
         while True:
             v = base[v]
-            if seen[v]:
+            if v in seen:
                 return v
-            v = parent[self.match[v]]
+            v = parent[match[v]]
 
-    def _mark_path(
-        self,
-        v: int,
-        b: int,
-        child: int,
-        blossom: list[bool],
-        base: list[int],
-        parent: list[int],
-    ) -> None:
+    def _mark_path(self, v: int, b: int, child: int, blossom: set[int]) -> None:
+        match, parent, base = self.match, self.parent, self.base
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[self.match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             parent[v] = child
-            child = self.match[v]
-            v = parent[self.match[v]]
+            child = match[v]
+            v = parent[match[v]]
 
-    def search(self, root: int, augment: bool = True) -> tuple[bool, list[bool], list[int]]:
-        """Grow an alternating forest from one exposed root.
+    def _shrink(
+        self, v: int, to: int, members: dict[int, list[int]], queue: deque[int]
+    ) -> None:
+        """Contract the blossom closed by the even-even edge v-to.
+
+        `members` lists the vertices of each contracted blossom by its base
+        (a base missing from it stands for itself alone). The vertices turned
+        even join the queue in ascending id order, the order a scan over
+        every vertex would add them in.
+        """
+        base, even = self.base, self.even
+        curbase = self._lca(v, to)
+        blossom: set[int] = set()
+        self._mark_path(v, curbase, to, blossom)
+        self._mark_path(to, curbase, v, blossom)
+        blossom.discard(curbase)  # its members are even and keep their base
+        merged = members.setdefault(curbase, [curbase])
+        turned = []
+        for b in blossom:
+            for i in members.pop(b, (b,)):
+                base[i] = curbase
+                merged.append(i)
+                if not even[i]:
+                    even[i] = True
+                    turned.append(i)
+        turned.sort()
+        queue.extend(turned)
+
+    def search(self, root: int, augment: bool = True) -> list[int] | None:
+        """Grow an alternating tree from one exposed root.
 
         With augment=True, flips the matching along the first augmenting path
-        found. Returns (augmented, even-flags, odd-parents); after a failed
-        search the even flags mark exactly the vertices reachable from the
-        root by even-length alternating paths.
+        found and returns None. After a failed search, returns the vertices
+        reachable from the root by even-length alternating paths. With
+        augment=False the matching must already be maximum.
         """
-        even = [False] * self.n
-        parent = [-1] * self.n
-        base = list(range(self.n))
+        match, nbrs = self.match, self.nbrs
+        even, parent, base = self.even, self.parent, self.base
+        tree = [root]  # every vertex this search labels
+        members: dict[int, list[int]] = {}
         even[root] = True
         queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for _eid, to in self.adj[v]:
-                if base[v] == base[to] or self.match[v] == to:
-                    continue
-                if to == root or (self.match[to] != -1 and parent[self.match[to]] != -1):
-                    # Even meets even: shrink the blossom around their cycle.
-                    curbase = self._lca(v, to, base, parent)
-                    blossom = [False] * self.n
-                    self._mark_path(v, curbase, to, blossom, base, parent)
-                    self._mark_path(to, curbase, v, blossom, base, parent)
-                    for i in range(self.n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not even[i]:
-                                even[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if self.match[to] == -1:
-                        if not augment:
-                            raise AssertionError(
-                                "augmenting path found while probing a maximum matching"
-                            )
-                        self._augment(to, parent)
-                        return True, even, parent
-                    even[self.match[to]] = True
-                    queue.append(self.match[to])
-        return False, even, parent
+        try:
+            while queue:
+                v = queue.popleft()
+                for to in nbrs[v]:
+                    if base[v] == base[to] or match[v] == to:
+                        continue
+                    mate = match[to]
+                    if to == root or (mate != -1 and parent[mate] != -1):
+                        # Even meets even: shrink the blossom around their cycle.
+                        self._shrink(v, to, members, queue)
+                    elif parent[to] == -1:
+                        parent[to] = v
+                        tree.append(to)
+                        if mate == -1:
+                            if not augment:
+                                raise InternalDualityMismatch(
+                                    "gallai-edmonds: augmenting path found while "
+                                    "probing a matching that should be maximum"
+                                )
+                            self._augment(to)
+                            return None
+                        even[mate] = True
+                        tree.append(mate)
+                        queue.append(mate)
+            return [v for v in tree if even[v]]
+        finally:
+            for v in tree:
+                even[v] = False
+                parent[v] = -1
+                base[v] = v
 
-    def _augment(self, to: int, parent: list[int]) -> None:
+    def _augment(self, to: int) -> None:
+        match, parent = self.match, self.parent
         v = to
         while v != -1:
             pv = parent[v]
-            next_v = self.match[pv]
-            self._set_pair(pv, v)
+            next_v = match[pv]
+            match[pv] = v
+            match[v] = pv
+            key = (pv, v) if pv < v else (v, pv)
+            self.pair_edge[key] = self.rep[key]
             v = next_v
 
     def run(self) -> None:
@@ -203,6 +229,35 @@ class _Matcher:
                 out.add(self.pair_edge[(v, w)])
         return frozenset(out)
 
+    def gallai_edmonds(self) -> GallaiEdmonds:
+        """The partition read off the current matching, which must be maximum.
+
+        D is the union of the even sets of the failed searches from the
+        exposed vertices; it is the same for every maximum matching.
+        """
+        missed: set[int] = set()
+        for root in range(self.n):
+            if self.match[root] == -1:
+                missed.update(self.search(root, augment=False))
+        boundary = set()
+        for v in missed:
+            boundary.update(self.nbrs[v])
+        a = frozenset(boundary - missed)
+        d = frozenset(missed)
+        c = frozenset(range(self.n)) - d - a
+        return GallaiEdmonds(d, a, c)
+
+
+def grow_matching(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:
+    """A matcher holding a maximum matching of h grown from the seed matching."""
+    seed_edges = frozenset(seed)
+    if not is_matching(h, seed_edges):
+        raise InvalidSeed("seed is not a matching of the host graph")
+    matcher = _Matcher(h)
+    matcher.seed(seed_edges)
+    matcher.run()
+    return matcher
+
 
 def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
     """A maximum-cardinality matching of h, grown from the given seed matching.
@@ -210,31 +265,12 @@ def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
     Edge ids in the result are ids of h; parallel edges are represented by
     their lowest id except where the seed supplied another parallel copy.
     """
-    seed_edges = frozenset(seed)
-    if not is_matching(h, seed_edges):
-        raise InvalidSeed("seed is not a matching of the host graph")
-    matcher = _Matcher(h)
-    matcher.seed(seed_edges)
-    matcher.run()
-    return matcher.matched_edges()
+    return grow_matching(h, seed).matched_edges()
 
 
 def gallai_edmonds(h: Multigraph) -> GallaiEdmonds:
     """The canonical partition (D, A, C) of h."""
-    matcher = _Matcher(h)
-    matcher.run()
-    missed: set[int] = set()
-    for root in range(matcher.n):
-        if matcher.match[root] == -1:
-            _, even, _ = matcher.search(root, augment=False)
-            missed.update(v for v in range(matcher.n) if even[v])
-    boundary = set()
-    for v in missed:
-        boundary.update(to for _eid, to in matcher.adj[v])
-    a = frozenset(boundary - missed)
-    d = frozenset(missed)
-    c = frozenset(range(matcher.n)) - d - a
-    return GallaiEdmonds(d, a, c)
+    return grow_matching(h).gallai_edmonds()
 
 
 def tutte_berge_witness(h: Multigraph) -> TutteBergeWitness:

@@ -254,3 +254,63 @@ def brute_matching(h: Multigraph) -> int:
 
     descend(0, 0, 0)
     return best
+
+
+def has_x_path(
+    g: BidirectedMultigraph,
+    x: Iterable[VertexId],
+    avoid: Iterable[VertexId] = (),
+) -> bool:
+    """True iff at least one X-path exists, avoiding the given vertices.
+
+    A sign-alternating depth-first search from X, with an explicit stack,
+    entirely independent of the matching pipeline. Branches from which no
+    unvisited X-vertex is even sign-blind reachable are pruned; that keeps
+    the search fast on dense negative instances. Exponential in the worst
+    case and unguarded: for small instances and tests.
+    """
+    xs = g.check_vertex_set(x)
+    banned = g.check_vertex_set(avoid)
+    if len(xs - banned) < 2:
+        return False  # both endpoints lie in X and are distinct
+
+    def x_reachable(frm: VertexId, on_path: set[VertexId]) -> bool:
+        seen = {frm}
+        stack = [frm]
+        while stack:
+            v = stack.pop()
+            for eid in g.incident_edges(v):
+                w = g.edge(eid).other(v)
+                if w in banned or w in on_path or w in seen:
+                    continue
+                if w in xs:
+                    return True
+                seen.add(w)
+                stack.append(w)
+        return False
+
+    for start in sorted(xs - banned):
+        on_path = {start}
+        if not x_reachable(start, on_path):
+            continue
+        # Frames: (vertex, sign of the edge entering it, its remaining edges).
+        stack = [(start, None, iter(g.incident_edges(start)))]
+        while stack:
+            v, incoming, edges = stack[-1]
+            for eid in edges:
+                if incoming is not None and g.sign(v, eid) == incoming:
+                    continue
+                w = g.edge(eid).other(v)
+                if w in banned or w in on_path:
+                    continue
+                if w in xs:
+                    return True
+                on_path.add(w)
+                if x_reachable(w, on_path):
+                    stack.append((w, g.sign(w, eid), iter(g.incident_edges(w))))
+                    break
+                on_path.remove(w)
+            else:
+                stack.pop()
+                on_path.discard(v)
+    return False

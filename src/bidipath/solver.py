@@ -1,25 +1,22 @@
 """Maximum disjoint X-path packing with a dual certificate and hitting sets.
 
-The pipeline: build the auxiliary graph, grow a maximum matching from the
-base matching, read the packing size off the matching surplus, extract the
-paths from the alternating components of the two matchings' union, and
-translate the Tutte-Berge witness of the auxiliary graph into a vertex-set
-pair (S, T) whose dual bound equals the packing size. When fewer than k
+The pipeline (`solve`): build the auxiliary graph once, grow one maximum
+matching from the base matching, read the packing size off the matching
+surplus, extract the paths from the alternating components of the two
+matchings' union, and translate the Tutte-Berge witness read off the same
+matching (the A-set of its Gallai-Edmonds partition) into a vertex-set pair
+(S, T) whose dual bound equals the packing size. When fewer than k
 paths exist, a leave-one-out selection over the restricted graph's
 components yields a hitting set of size at most 2k-2.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .auxiliary import (
-    AlternatingPath,
-    AuxVertex,
-    build_auxiliary,
-    project_path,
-)
+from .auxiliary import AlternatingPath, AuxiliaryGraph, build_auxiliary, project_path
 from .core import (
     BidirectedMultigraph,
     SignedPath,
@@ -27,17 +24,8 @@ from .core import (
     dual_value,
     restrict,
 )
-from .errors import (
-    InternalDualityMismatch,
-    InvalidK,
-    SideConditionViolated,
-)
-from .matching import (
-    alternating_components,
-    components_without,
-    maximum_matching,
-    tutte_berge_witness,
-)
+from .errors import InternalDualityMismatch, InvalidK, UnknownVertex
+from .matching import _Matcher, alternating_components, grow_matching
 
 
 @dataclass(frozen=True)
@@ -59,10 +47,17 @@ class Certificate:
 
 @dataclass(frozen=True)
 class HittingSet:
-    """A vertex set of size at most 2k-2 meeting every X-path."""
+    """A vertex set of size at most 2k-2 meeting every X-path.
+
+    (S, T) is the instance's certificate. Y contains S∩T and leaves at most
+    one vertex of X∪S∪T in each component of the restricted graph, so
+    (S∖Y, T∖Y) has dual value 0 on g - Y: no X-path survives.
+    """
 
     y: frozenset[VertexId]
     k: int
+    s: frozenset[VertexId]
+    t: frozenset[VertexId]
 
 
 @dataclass(frozen=True)
@@ -74,11 +69,9 @@ class VerificationResult:
         return self.ok
 
 
-def max_disjoint_x_paths(g: BidirectedMultigraph, x: Iterable[VertexId]) -> PackingResult:
-    """The maximum number of pairwise disjoint X-paths, with the paths."""
-    xs = g.check_vertex_set(x)
-    aux = build_auxiliary(g, xs)
-    matching = maximum_matching(aux.graph, seed=aux.base_matching)
+def _packing(aux: AuxiliaryGraph, matching: frozenset[int]) -> PackingResult:
+    """The paths of the union of the base and the maximum matching that join
+    two X-vertices, as host paths; there are exactly as many as the surplus."""
     k = len(matching) - len(aux.base_matching)
     candidates: list[SignedPath] = []
     for comp in alternating_components(aux.graph, aux.base_matching, matching):
@@ -98,30 +91,100 @@ def max_disjoint_x_paths(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Pack
     return PackingResult(k, tuple(candidates[:k]))
 
 
-def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:
-    """A dual pair (S, T) attaining the packing size.
+class Solution:
+    """The answer for one instance (g, X), from one auxiliary graph and one
+    maximum matching; made by `solve`.
 
-    The Tutte-Berge witness U of the auxiliary graph is translated by copy
-    membership: T collects vertices whose copy 1 lies in U, S those whose
-    copy 2 does (an X-vertex, owning a single copy, lands in both or
-    neither). The translation satisfies U = p(T x {1}) ∪ p(S x {2}).
+    The packing is read off the matching at once. The dual pair (S, T) is
+    read off the same matching's Gallai-Edmonds partition on first use, and
+    the hitting set, for a threshold above the packing size, from that pair.
     """
+
+    def __init__(
+        self,
+        g: BidirectedMultigraph,
+        xs: frozenset[VertexId],
+        threshold: int | None,
+        aux: AuxiliaryGraph,
+        matcher: _Matcher,
+    ):
+        self.g = g
+        self.x = xs
+        self.threshold = threshold
+        self._aux = aux
+        self._matcher = matcher
+        self.packing = _packing(aux, matcher.matched_edges())
+
+    @functools.cached_property
+    def certificate(self) -> Certificate:
+        """A dual pair (S, T) attaining the packing size.
+
+        The A-set U of the auxiliary graph's Gallai-Edmonds partition is
+        translated by copy membership: T collects vertices whose copy 1 lies
+        in U, S those whose copy 2 does (an X-vertex, owning a single copy,
+        lands in both or neither). The translation satisfies
+        U = p(T x {1}) ∪ p(S x {2}).
+        """
+        aux, g = self._aux, self.g
+        u = self._matcher.gallai_edmonds().a
+        s, t = set(), set()
+        for v in g.vertices():
+            if aux.p(v, 1) in u:
+                t.add(v)
+            if aux.p(v, 2) in u:
+                s.add(v)
+        k = self.packing.k
+        value = dual_value(g, self.x, s, t)
+        if value != k:
+            raise InternalDualityMismatch(
+                f"translated dual bound {value} differs from packing size {k}"
+            )
+        return Certificate(frozenset(s), frozenset(t), value)
+
+    @functools.cached_property
+    def hitting_set(self) -> HittingSet | None:
+        """For a threshold k above the packing size, a vertex set Y with
+        |Y| <= 2k-2 meeting every X-path; None otherwise.
+
+        Y combines S∩T with, per restricted component, all but the minimum-id
+        member of its marked vertices.
+        """
+        k = self.threshold
+        if k is None or self.packing.k >= k:
+            return None
+        cert = self.certificate
+        marked = self.x | cert.s | cert.t
+        y = set(cert.s & cert.t)
+        for comp in restrict(self.g, cert.s, cert.t).components():
+            members = [v for v in comp if v in marked]
+            y.update(members[1:])
+        if len(y) > 2 * k - 2:
+            raise InternalDualityMismatch(
+                f"hitting set of size {len(y)} exceeds the bound {2 * k - 2}"
+            )
+        return HittingSet(frozenset(y), k, cert.s, cert.t)
+
+
+def solve(
+    g: BidirectedMultigraph, x: Iterable[VertexId], k: int | None = None
+) -> Solution:
+    """Solve (g, X) once: the packing, and on demand its dual pair and, for
+    a threshold k >= 1, a hitting set when fewer than k paths exist."""
+    if k is not None and k < 1:
+        raise InvalidK("the hitting-set bound 2k-2 requires k >= 1")
     xs = g.check_vertex_set(x)
     aux = build_auxiliary(g, xs)
-    witness = tutte_berge_witness(aux.graph)
-    s, t = set(), set()
-    for v in g.vertices():
-        if aux.p(v, 1) in witness.u:
-            t.add(v)
-        if aux.p(v, 2) in witness.u:
-            s.add(v)
-    k = witness.value - len(aux.base_matching)
-    value = dual_value(g, xs, s, t)
-    if value != k:
-        raise InternalDualityMismatch(
-            f"translated dual bound {value} differs from packing size {k}"
-        )
-    return Certificate(frozenset(s), frozenset(t), value)
+    return Solution(g, xs, k, aux, grow_matching(aux.graph, aux.base_matching))
+
+
+def max_disjoint_x_paths(g: BidirectedMultigraph, x: Iterable[VertexId]) -> PackingResult:
+    """The maximum number of pairwise disjoint X-paths, with the paths."""
+    return solve(g, x).packing
+
+
+def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:
+    """A dual pair (S, T) attaining the packing size; see Solution.certificate."""
+    return solve(g, x).certificate
 
 
 def verify_certificate(
@@ -135,7 +198,7 @@ def verify_certificate(
         xs = g.check_vertex_set(x)
         ss = g.check_vertex_set(cert.s)
         ts = g.check_vertex_set(cert.t)
-    except Exception:
+    except UnknownVertex:
         return VerificationResult(False, "unknown-vertex")
     if xs & ss != xs & ts:
         return VerificationResult(False, "side-condition-violated")
@@ -147,146 +210,11 @@ def verify_certificate(
     return VerificationResult(True)
 
 
-def gamma_image(
-    g: BidirectedMultigraph,
-    x: Iterable[VertexId],
-    s: Iterable[VertexId],
-    t: Iterable[VertexId],
-    v: VertexId,
-) -> frozenset[AuxVertex]:
-    """The auxiliary-vertex image of v under the five-case copy map."""
-    xs = g.check_vertex_set(x)
-    ss = g.check_vertex_set(s)
-    ts = g.check_vertex_set(t)
-    if xs & ss != xs & ts:
-        raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    g.check_vertex_set([v])
-    in_s, in_t = v in ss, v in ts
-    if in_s and in_t:
-        return frozenset()
-    if in_s:
-        return frozenset({AuxVertex(v, 1)})
-    if in_t:
-        return frozenset({AuxVertex(v, 2)})
-    if v in xs:
-        return frozenset({AuxVertex(v, 0)})
-    return frozenset({AuxVertex(v, 1), AuxVertex(v, 2)})
-
-
-def verify_component_correspondence(
-    g: BidirectedMultigraph,
-    x: Iterable[VertexId],
-    s: Iterable[VertexId],
-    t: Iterable[VertexId],
-) -> bool:
-    """Check that the copy map carries restricted-graph components onto the
-    components of the auxiliary graph minus the translated witness set,
-    including the per-component cardinality identity."""
-    xs = g.check_vertex_set(x)
-    ss = g.check_vertex_set(s)
-    ts = g.check_vertex_set(t)
-    if xs & ss != xs & ts:
-        raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    aux = build_auxiliary(g, xs)
-    u_aux = {aux.p(v, 1) for v in ts} | {aux.p(v, 2) for v in ss}
-    aux_families = {
-        frozenset(comp) for comp in components_without(aux.graph, u_aux)
-    }
-    marked = xs | ss | ts
-    both = ss & ts
-    restricted_families: set[frozenset[int]] = set()
-    count = 0
-    for comp in restrict(g, ss, ts).components():
-        if len(comp) == 1 and comp[0] in both:
-            continue
-        count += 1
-        image: set[int] = set()
-        for v in comp:
-            image.update(aux.index[a] for a in gamma_image(g, xs, ss, ts, v))
-        inside = sum(1 for v in comp if v in marked)
-        if len(image) != inside + 2 * (len(comp) - inside):
-            return False
-        restricted_families.add(frozenset(image))
-    return restricted_families == aux_families and count == len(aux_families)
-
-
 def hitting_set(
     g: BidirectedMultigraph, x: Iterable[VertexId], k: int
 ) -> HittingSet | PackingResult:
     """Either k disjoint X-paths (as the full optimal packing) or a vertex
-    set Y with |Y| <= 2k-2 meeting every X-path.
-
-    Y combines S∩T with, per restricted component, all but the minimum-id
-    member of its marked vertices.
-    """
-    if k < 1:
-        raise InvalidK("the hitting-set bound 2k-2 requires k >= 1")
-    xs = g.check_vertex_set(x)
-    packing = max_disjoint_x_paths(g, xs)
-    if packing.k >= k:
-        return packing
-    cert = certificate(g, xs)
-    marked = xs | cert.s | cert.t
-    y = set(cert.s & cert.t)
-    for comp in restrict(g, cert.s, cert.t).components():
-        members = [v for v in comp if v in marked]
-        y.update(members[1:])
-    if len(y) > 2 * k - 2:
-        raise InternalDualityMismatch(
-            f"hitting set of size {len(y)} exceeds the bound {2 * k - 2}"
-        )
-    return HittingSet(frozenset(y), k)
-
-
-def has_x_path(
-    g: BidirectedMultigraph,
-    x: Iterable[VertexId],
-    avoid: Iterable[VertexId] = (),
-) -> bool:
-    """True iff at least one X-path exists, avoiding the given vertices.
-
-    Implemented as a sign-alternating depth-first search from X, entirely
-    independent of the matching pipeline, so it can audit hitting sets.
-    Branches from which no unvisited X-vertex is even sign-blind reachable
-    are pruned; that keeps the search fast on dense negative instances.
-    """
-    xs = g.check_vertex_set(x)
-    banned = g.check_vertex_set(avoid)
-    if len(xs - banned) < 2:
-        return False  # both endpoints lie in X and are distinct
-
-    def x_reachable(frm: VertexId, on_path: set[VertexId]) -> bool:
-        seen = {frm}
-        stack = [frm]
-        while stack:
-            v = stack.pop()
-            for eid in g.incident_edges(v):
-                w = g.edge(eid).other(v)
-                if w in banned or w in on_path or w in seen:
-                    continue
-                if w in xs:
-                    return True
-                seen.add(w)
-                stack.append(w)
-        return False
-
-    def extend(v: VertexId, incoming, on_path: set[VertexId]) -> bool:
-        if not x_reachable(v, on_path):
-            return False
-        for eid in g.incident_edges(v):
-            if incoming is not None and g.sign(v, eid) == incoming:
-                continue
-            w = g.edge(eid).other(v)
-            if w in banned or w in on_path:
-                continue
-            if w in xs:
-                return True
-            on_path.add(w)
-            if extend(w, g.sign(w, eid), on_path):
-                return True
-            on_path.remove(w)
-        return False
-
-    return any(
-        extend(start, None, {start}) for start in sorted(xs) if start not in banned
-    )
+    set Y with |Y| <= 2k-2 meeting every X-path; see Solution.hitting_set."""
+    solution = solve(g, x, k)
+    found = solution.hitting_set
+    return solution.packing if found is None else found

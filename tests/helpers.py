@@ -9,11 +9,16 @@ from hypothesis import strategies as st
 from bidipath import (
     MINUS,
     PLUS,
+    AuxVertex,
     BidirectedMultigraph,
     Multigraph,
+    build_auxiliary,
+    restrict,
 )
 from bidipath.bgf import Instance
+from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
+from bidipath.matching import components_without
 
 SIGNS = (MINUS, PLUS)
 
@@ -57,6 +62,20 @@ def random_multigraph(seed: int, max_n: int = 10, max_m: int = 14) -> Multigraph
             v += 1
         ends.append((u, v))
     return Multigraph(n, tuple(ends))
+
+
+def sign_broken_chain(rng: random.Random, length: int) -> Instance:
+    """A path v0 ... v(L-1) with X = {v0, v(L-1)} whose signs alternate at
+    every internal vertex except one, so no X-path exists (k = 0)."""
+    g = BidirectedMultigraph()
+    g.add_vertices(length)
+    far = [rng.choice(SIGNS) for _ in range(length - 1)]
+    near = [rng.choice(SIGNS)] + [far[i - 1].opposite() for i in range(1, length - 1)]
+    broken = rng.randrange(1, length - 1)
+    near[broken] = far[broken - 1]
+    for i in range(length - 1):
+        g.add_edge(i, near[i], i + 1, far[i])
+    return Instance.from_graph(g.freeze(), frozenset({0, length - 1}))
 
 
 def random_admissible_pair(rng: random.Random, n: int, x) -> tuple[set, set]:
@@ -200,3 +219,55 @@ def graph_and_x(draw, max_vertices: int = 6, max_edges: int = 10):
             g.add_edge(u, su, v, sv)
     x = draw(st.frozensets(st.integers(0, n - 1)))
     return g.freeze(), x
+
+
+def gamma_image(g, x, s, t, v) -> frozenset[AuxVertex]:
+    """The auxiliary-vertex image of v under the five-case copy map."""
+    xs = g.check_vertex_set(x)
+    ss = g.check_vertex_set(s)
+    ts = g.check_vertex_set(t)
+    if xs & ss != xs & ts:
+        raise SideConditionViolated("X ∩ S must equal X ∩ T")
+    g.check_vertex_set([v])
+    in_s, in_t = v in ss, v in ts
+    if in_s and in_t:
+        return frozenset()
+    if in_s:
+        return frozenset({AuxVertex(v, 1)})
+    if in_t:
+        return frozenset({AuxVertex(v, 2)})
+    if v in xs:
+        return frozenset({AuxVertex(v, 0)})
+    return frozenset({AuxVertex(v, 1), AuxVertex(v, 2)})
+
+
+def verify_component_correspondence(g, x, s, t) -> bool:
+    """Check that the copy map carries restricted-graph components onto the
+    components of the auxiliary graph minus the translated witness set,
+    including the per-component cardinality identity."""
+    xs = g.check_vertex_set(x)
+    ss = g.check_vertex_set(s)
+    ts = g.check_vertex_set(t)
+    if xs & ss != xs & ts:
+        raise SideConditionViolated("X ∩ S must equal X ∩ T")
+    aux = build_auxiliary(g, xs)
+    u_aux = {aux.p(v, 1) for v in ts} | {aux.p(v, 2) for v in ss}
+    aux_families = {
+        frozenset(comp) for comp in components_without(aux.graph, u_aux)
+    }
+    marked = xs | ss | ts
+    both = ss & ts
+    restricted_families: set[frozenset[int]] = set()
+    count = 0
+    for comp in restrict(g, ss, ts).components():
+        if len(comp) == 1 and comp[0] in both:
+            continue
+        count += 1
+        image: set[int] = set()
+        for v in comp:
+            image.update(aux.index[a] for a in gamma_image(g, xs, ss, ts, v))
+        inside = sum(1 for v in comp if v in marked)
+        if len(image) != inside + 2 * (len(comp) - inside):
+            return False
+        restricted_families.add(frozenset(image))
+    return restricted_families == aux_families and count == len(aux_families)

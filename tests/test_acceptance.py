@@ -21,7 +21,6 @@ from bidipath import (
     delete_vertices,
     from_digraph,
     from_undirected,
-    has_x_path,
     hitting_set,
     is_x_path,
     lift_path,
@@ -30,7 +29,6 @@ from bidipath import (
     project_path,
     tutte_berge_witness,
     verify_certificate,
-    verify_component_correspondence,
     Multigraph,
 )
 from bidipath.auxiliary import AlternatingPath
@@ -40,6 +38,7 @@ from bidipath.oracle import (
     brute_matching,
     brute_max_disjoint,
     enumerate_x_paths,
+    has_x_path,
 )
 from helpers import (
     brute_directed_packing,
@@ -49,6 +48,7 @@ from helpers import (
     random_admissible_pair,
     random_instance,
     random_multigraph,
+    verify_component_correspondence,
 )
 
 INSTANCE_COUNT = 500

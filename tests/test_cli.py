@@ -1,8 +1,12 @@
 """End-to-end command tests through main(), checking output and exit codes."""
 
+import random
+
 import pytest
 
+from bidipath.bgf import format_instance
 from bidipath.cli import main
+from helpers import sign_broken_chain
 
 K5_BGF = (
     "\n".join(f"v {c}" for c in "abcde")
@@ -202,3 +206,29 @@ def test_stdin_instance(k5_file, capsys, monkeypatch):
 
 def test_missing_file_is_usage_error(capsys):
     assert main(["solve", "/nonexistent/file.bgf"]) == 1
+
+
+def test_unreadable_input_is_usage_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 1  # a directory, not a file
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_hitting_set_on_a_long_sign_broken_chain(tmp_path, capsys):
+    # One broken sign leaves no X-path; the audit must not search paths.
+    path = tmp_path / "chain.bgf"
+    path.write_text(format_instance(sign_broken_chain(random.Random(3), 3000)))
+    assert main(["hitting-set", str(path), "-k", "1", "--format", "machine"]) == 0
+    out = machine_lines(capsys.readouterr().out)
+    assert out["outcome"] == ["hitting-set"]
+    assert out["size"] == ["0"]
+    assert out["audit"] == ["no-x-path"]
+
+
+def test_unexpected_error_is_exit_3_without_traceback(k5_file, capsys, monkeypatch):
+    def broken_solve(*args, **kwargs):
+        raise RuntimeError("solver exploded")
+
+    monkeypatch.setattr("bidipath.cli.solve", broken_solve)
+    assert main(["solve", k5_file]) == 3
+    err = capsys.readouterr().err
+    assert err == "bidipath: internal error: RuntimeError: solver exploded\n"

@@ -7,16 +7,17 @@ from hypothesis import strategies as st
 from bidipath import (
     Multigraph,
     alternating_components,
+    build_auxiliary,
     gallai_edmonds,
     is_matching,
     maximum_matching,
     tutte_berge_witness,
     weak_components,
 )
-from bidipath.errors import InvalidSeed
-from bidipath.matching import tutte_berge_value
+from bidipath.errors import InternalDualityMismatch, InvalidSeed
+from bidipath.matching import _Matcher, grow_matching, tutte_berge_value
 from bidipath.oracle import brute_matching
-from helpers import random_multigraph
+from helpers import graph_and_x, random_multigraph
 
 
 def complete(n: int) -> Multigraph:
@@ -202,3 +203,40 @@ def test_union_components_alternate(seed):
             # consecutive edges cannot both lie in one matching
             assert not (in0_first and in0_second)
             assert not (in1_first and in1_second)
+
+
+def _greedy_matching(h: Multigraph, order) -> frozenset[int]:
+    used: set[int] = set()
+    chosen = set()
+    for eid in order:
+        u, v = h.endpoints[eid]
+        if u not in used and v not in used:
+            used |= {u, v}
+            chosen.add(eid)
+    return frozenset(chosen)
+
+
+@given(st.integers(0, 10000), st.randoms(use_true_random=False))
+def test_gallai_edmonds_is_the_same_from_a_seeded_matching(seed, rng):
+    # D is missed by some maximum matching, so it does not depend on which
+    # maximum matching the failed searches start from.
+    h = random_multigraph(seed, max_n=14, max_m=24)
+    order = list(range(h.edge_count))
+    rng.shuffle(order)
+    seeded = grow_matching(h, _greedy_matching(h, order[: rng.randint(0, len(order))]))
+    assert seeded.gallai_edmonds() == gallai_edmonds(h)
+
+
+@given(graph_and_x(max_vertices=7, max_edges=12))
+def test_gallai_edmonds_of_auxiliary_graph_from_base_matching(gx):
+    g, x = gx
+    aux = build_auxiliary(g, x)
+    seeded = grow_matching(aux.graph, aux.base_matching)
+    assert seeded.gallai_edmonds() == gallai_edmonds(aux.graph)
+
+
+def test_probing_a_non_maximum_matching_names_the_stage():
+    matcher = _Matcher(path_graph(4))
+    matcher.seed({1})  # the middle edge alone leaves 0-1=2-3 augmenting
+    with pytest.raises(InternalDualityMismatch, match="gallai-edmonds"):
+        matcher.gallai_edmonds()

@@ -17,6 +17,7 @@ from bidipath.oracle import (
     brute_matching,
     brute_max_disjoint,
     enumerate_x_paths,
+    has_x_path,
 )
 from helpers import (
     complete_all_minus,
@@ -25,6 +26,7 @@ from helpers import (
 )
 
 import random
+import sys
 
 
 def test_enumerate_edgeless():
@@ -136,3 +138,18 @@ def test_brute_matching_guard():
     h = Multigraph(30, tuple((i, i + 1) for i in range(25)))
     with pytest.raises(LimitExceeded):
         brute_matching(h)
+
+
+def test_has_x_path_walks_chains_deeper_than_the_recursion_limit():
+    n = 500
+    g = BidirectedMultigraph()
+    g.add_vertices(n)
+    for i in range(n - 1):
+        g.add_edge(i, MINUS, i + 1, PLUS)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(300)  # below the chain's length, above the test's depth
+    try:
+        assert has_x_path(g, {0, n - 1})
+        assert not has_x_path(g, {0, n - 1}, avoid={n // 2})
+    finally:
+        sys.setrecursionlimit(limit)

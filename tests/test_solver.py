@@ -1,5 +1,6 @@
 """Packing, certificate, correspondence, hitting set, and the audit search."""
 
+import hashlib
 import random
 
 import pytest
@@ -9,22 +10,32 @@ from bidipath import (
     PLUS,
     AuxVertex,
     BidirectedMultigraph,
+    Certificate,
     PackingResult,
     SignedPath,
+    build_auxiliary,
     certificate,
     delete_vertices,
     dual_value,
-    gamma_image,
-    has_x_path,
+    generate_instance,
     hitting_set,
     is_x_path,
     max_disjoint_x_paths,
+    maximum_matching,
+    solve,
+    tutte_berge_witness,
     verify_certificate,
-    verify_component_correspondence,
 )
 from bidipath.errors import InvalidK, SideConditionViolated, UnknownVertex
-from bidipath.oracle import brute_dual_value, enumerate_x_paths
-from helpers import complete_all_minus, random_admissible_pair, random_instance
+from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
+from helpers import (
+    complete_all_minus,
+    gamma_image,
+    random_admissible_pair,
+    random_instance,
+    random_multigraph,
+    verify_component_correspondence,
+)
 
 
 def single_x_edge():
@@ -105,6 +116,14 @@ def test_verify_certificate_round_trip_and_perturbations():
     assert not check and check.reason == "side-condition-violated"
     check = verify_certificate(g, x, cert, 3)
     assert not check and check.reason == "k-mismatch"
+
+
+def test_verify_certificate_rejects_an_unknown_vertex():
+    g = complete_all_minus(5)
+    cert = certificate(g, range(5))
+    foreign = Certificate(cert.s | {7}, cert.t, cert.value)
+    check = verify_certificate(g, range(5), foreign, 2)
+    assert not check and check.reason == "unknown-vertex"
 
 
 def test_gamma_image_five_cases():
@@ -269,3 +288,60 @@ def test_certificate_matches_brute_dual_everywhere_it_applies():
         g, x = inst.graph, inst.x
         cert = certificate(g, x)
         assert brute_dual_value(g, x, cert.s, cert.t) == cert.value
+
+
+def _two_pass_certificate(g, x) -> Certificate:
+    """The certificate from a second auxiliary graph and a fresh, unseeded
+    matching, translated as Solution.certificate does."""
+    aux = build_auxiliary(g, x)
+    u = tutte_berge_witness(aux.graph).u
+    s = frozenset(v for v in g.vertices() if aux.p(v, 2) in u)
+    t = frozenset(v for v in g.vertices() if aux.p(v, 1) in u)
+    return Certificate(s, t, dual_value(g, x, s, t))
+
+
+def test_solve_agrees_with_the_views_and_a_fresh_matching():
+    for seed in range(150):
+        inst = random_instance(seed, max_n=8)
+        g, x = inst.graph, inst.x
+        packing = max_disjoint_x_paths(g, x)
+        for k in range(1, packing.k + 3):
+            solution = solve(g, x, k)
+            assert solution.packing == packing
+            assert solution.certificate == certificate(g, x) == _two_pass_certificate(g, x)
+            found = hitting_set(g, x, k)
+            if k <= packing.k:
+                assert solution.hitting_set is None and found == packing
+            else:
+                assert solution.hitting_set == found
+                assert (found.s, found.t) == (solution.certificate.s, solution.certificate.t)
+
+
+def test_solve_reads_no_dual_when_enough_paths_exist():
+    g = complete_all_minus(5)
+    solution = solve(g, range(5), 2)
+    assert solution.hitting_set is None
+    assert "certificate" not in vars(solution)  # the lazy dual was never read
+
+
+def test_solve_rejects_k_zero_before_solving():
+    with pytest.raises(InvalidK):
+        solve(complete_all_minus(3), {9}, 0)
+
+
+# sha256 of the matchings, packings and certificates below as first computed
+# by the original two-pass solver; a faster search must reproduce them.
+RECORDED_DIGEST = "0b90e6e8d27a3fafd81ab56d70e363b0a7e9f4bdc4176d77402814ed12e562e6"
+
+
+def test_outputs_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        h = random_multigraph(seed, max_n=24, max_m=60)
+        digest.update(repr(sorted(maximum_matching(h))).encode())
+    for seed in range(40):
+        inst = generate_instance(40, 100, 0.3, {"--": 3, "-+": 1, "+-": 1, "++": 1}, seed)
+        packing = max_disjoint_x_paths(inst.graph, inst.x)
+        cert = certificate(inst.graph, inst.x)
+        digest.update(repr((packing, sorted(cert.s), sorted(cert.t))).encode())
+    assert digest.hexdigest() == RECORDED_DIGEST
