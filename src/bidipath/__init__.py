@@ -37,10 +37,8 @@ from .core import (
 from .dot import export_dot
 from .generate import generate_instance, parse_sign_dist
 from .matching import (
-    AlternatingComponent,
     GallaiEdmonds,
     TutteBergeWitness,
-    alternating_components,
     gallai_edmonds,
     is_matching,
     maximum_matching,
@@ -60,7 +58,6 @@ from .solver import (
 )
 
 __all__ = [
-    "AlternatingComponent",
     "AlternatingPath",
     "AuxVertex",
     "AuxiliaryGraph",
@@ -80,7 +77,6 @@ __all__ = [
     "Solution",
     "TutteBergeWitness",
     "VerificationResult",
-    "alternating_components",
     "build_auxiliary",
     "certificate",
     "delete_vertices",

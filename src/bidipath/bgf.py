@@ -14,7 +14,7 @@ declarations are not.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import BidirectedMultigraph, Sign, VertexId
 from .errors import DuplicateVertex, LoopRejected, ParseError, UnknownVertex
@@ -47,25 +47,11 @@ class Instance:
         return cls(graph, xs, names)
 
 
-@dataclass
-class _Line:
-    number: int
-    tokens: list[str] = field(default_factory=list)
-    columns: list[int] = field(default_factory=list)
-
-
-def _tokenize(text: str) -> list[_Line]:
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        if raw.lstrip().startswith("#"):
-            continue
-        line = _Line(number)
-        for match in _TOKEN.finditer(raw):
-            line.tokens.append(match.group())
-            line.columns.append(match.start() + 1)
-        if line.tokens:
-            lines.append(line)
-    return lines
+def _column(raw: str, index: int) -> int:
+    """The 1-based column of a line's index-th token, or the column just
+    past its last token when there are fewer tokens."""
+    spans = [match.span() for match in _TOKEN.finditer(raw)]
+    return spans[index][0] + 1 if index < len(spans) else spans[-1][1] + 1
 
 
 def parse_instance(text: str) -> Instance:
@@ -75,60 +61,60 @@ def parse_instance(text: str) -> Instance:
     ids: dict[str, VertexId] = {}
     x: set[VertexId] = set()
 
-    def fail(line: _Line, index: int, message: str):
-        column = line.columns[index] if index < len(line.columns) else (
-            line.columns[-1] + len(line.tokens[-1])
-        )
-        raise ParseError(message, line.number, column)
+    # Both read the line being parsed: number, raw and tokens.
+    def fail(index: int, message: str):
+        raise ParseError(message, number, _column(raw, index))
 
-    def lookup(line: _Line, index: int) -> VertexId:
-        name = line.tokens[index]
+    def lookup(index: int) -> VertexId:
+        name = tokens[index]
         if name not in ids:
             raise UnknownVertex(
-                f"line {line.number}, column {line.columns[index]}: "
-                f"unknown vertex {name!r}"
+                f"line {number}, column {_column(raw, index)}: unknown vertex {name!r}"
             )
         return ids[name]
 
-    for line in _tokenize(text):
-        directive = line.tokens[0]
-        args = len(line.tokens) - 1
+    for number, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        directive = tokens[0]
+        args = len(tokens) - 1
         if directive == "v":
             if args != 1:
-                fail(line, 1, "expected: v NAME")
-            name = line.tokens[1]
+                fail(1, "expected: v NAME")
+            name = tokens[1]
             if not _NAME.match(name):
-                fail(line, 1, f"invalid vertex name {name!r}")
+                fail(1, f"invalid vertex name {name!r}")
             if name in ids:
                 raise DuplicateVertex(
-                    f"line {line.number}: vertex {name!r} declared twice"
+                    f"line {number}: vertex {name!r} declared twice"
                 )
             ids[name] = graph.add_vertex()
             names.append(name)
         elif directive == "e":
             if args != 4:
-                fail(line, 1, "expected: e U SIGN_U V SIGN_V")
-            u = lookup(line, 1)
-            v = lookup(line, 3)
+                fail(1, "expected: e U SIGN_U V SIGN_V")
+            u = lookup(1)
+            v = lookup(3)
             signs = []
             for index in (2, 4):
-                token = line.tokens[index]
+                token = tokens[index]
                 try:
                     signs.append(Sign.parse(token))
                 except ValueError:
-                    fail(line, index, f"expected '-' or '+', got {token!r}")
+                    fail(index, f"expected '-' or '+', got {token!r}")
             if u == v:
                 raise LoopRejected(
-                    f"line {line.number}: loop at vertex {line.tokens[1]!r}"
+                    f"line {number}: loop at vertex {tokens[1]!r}"
                 )
             graph.add_edge(u, signs[0], v, signs[1])
         elif directive == "x":
             if args < 1:
-                fail(line, 1, "expected: x NAME [NAME ...]")
-            for index in range(1, len(line.tokens)):
-                x.add(lookup(line, index))
+                fail(1, "expected: x NAME [NAME ...]")
+            for index in range(1, len(tokens)):
+                x.add(lookup(index))
         else:
-            fail(line, 0, f"unknown directive {directive!r}")
+            fail(0, f"unknown directive {directive!r}")
     return Instance(graph.freeze(), frozenset(x), tuple(names))
 
 

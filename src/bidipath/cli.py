@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import oracle
-from .bgf import Instance, format_instance, parse_instance
+from .bgf import _NAME, Instance, _column, format_instance, parse_instance
 from .core import Multigraph, delete_vertices, from_digraph, from_undirected
 from .dot import export_dot
 from .errors import (
@@ -75,8 +75,7 @@ def _render_set(instance: Instance, vs) -> str:
 def _cmd_solve(args) -> int:
     instance = parse_instance(_read_text(args.instance))
     solution = solve(instance.graph, instance.x)
-    packing, cert = solution.packing, solution.certificate
-    check = verify_certificate(instance.graph, instance.x, cert, packing.k)
+    packing, cert = solution.packing, solution.certificate  # reading cert checks it
     if args.format == "machine":
         print(f"k: {packing.k}")
         for path in packing.paths:
@@ -84,7 +83,7 @@ def _cmd_solve(args) -> int:
         print(f"s: {_render_set(instance, cert.s)}")
         print(f"t: {_render_set(instance, cert.t)}")
         print(f"value: {cert.value}")
-        print(f"certificate: {'ok' if check else check.reason}")
+        print("certificate: ok")
     else:
         g = instance.graph
         print(
@@ -98,9 +97,7 @@ def _cmd_solve(args) -> int:
             f"certificate: S = {{{_render_set(instance, cert.s)}}}, "
             f"T = {{{_render_set(instance, cert.t)}}}, value = {cert.value}"
         )
-        print(f"certificate check: {'ok' if check else check.reason}")
-    if not check:
-        raise InternalDualityMismatch(f"certificate check failed: {check.reason}")
+        print("certificate check: ok")
     return EXIT_OK
 
 
@@ -162,7 +159,9 @@ def _parse_edge_list(text: str) -> tuple[list[str], list[tuple[int, int]]]:
         tokens = raw.split()
         if len(tokens) != 2:
             raise ParseError("expected: U V", number, 1)
-        for name in tokens:
+        for index, name in enumerate(tokens):
+            if not _NAME.match(name):
+                raise ParseError(f"invalid vertex name {name!r}", number, _column(raw, index))
             if name not in ids:
                 ids[name] = len(names)
                 names.append(name)
@@ -212,24 +211,22 @@ def _cmd_export_dot(args) -> int:
 
 
 def _verify_one(path: str, limit: int) -> dict:
-    report: dict = {"instance": path}
     instance = parse_instance(_read_text(path))
     g, x = instance.graph, instance.x
     solution = solve(g, x)
-    packing, cert = solution.packing, solution.certificate
-    check = verify_certificate(g, x, cert, packing.k)
-    report["k"] = packing.k
-    report["certificate"] = "ok" if check else check.reason
-    ok = bool(check)
+    k = solution.packing.k
+    solution.certificate  # reading it checks the dual pair; a failed check raises
+    report: dict = {"instance": path, "k": k, "certificate": "ok"}
+    ok = True
     try:
         report["oracle-packing"] = oracle.brute_max_disjoint(g, x, limit=limit)
-        ok = ok and report["oracle-packing"] == packing.k
+        ok = report["oracle-packing"] == k
     except LimitExceeded:
         report["oracle-packing"] = "skipped"
     try:
         value, _, _ = oracle.brute_dual_min(g, x)
         report["oracle-dual"] = value
-        ok = ok and value == packing.k
+        ok = ok and value == k
     except LimitExceeded:
         report["oracle-dual"] = "skipped"
     report["agreement"] = "ok" if ok else "MISMATCH"

@@ -279,71 +279,3 @@ def tutte_berge_witness(h: Multigraph) -> TutteBergeWitness:
     value = tutte_berge_value(h, decomposition.a)
     return TutteBergeWitness(decomposition.a, value)
 
-
-@dataclass(frozen=True)
-class AlternatingComponent:
-    """One component of the union of two matchings: a path or an even cycle.
-
-    For a cycle the closing edge (last entry) joins the last vertex back to
-    the first; a path lists one more vertex than edges, and an isolated
-    vertex is a length-0 path.
-    """
-
-    kind: str  # "path" or "cycle"
-    vertices: tuple[int, ...]
-    edges: tuple[int, ...]
-
-
-def alternating_components(
-    h: Multigraph, m0: Iterable[int], m: Iterable[int]
-) -> list[AlternatingComponent]:
-    """Decompose the subgraph (V(h), M0 ∪ M) into explicit paths and cycles.
-
-    Edges present in both matchings come out as single-edge path components.
-    Components are ordered by their minimum vertex id; paths start at their
-    lower-id endpoint, cycles at their minimum vertex.
-    """
-    m0_set = frozenset(m0)
-    m_set = frozenset(m)
-    for label, edges in (("m0", m0_set), ("m", m_set)):
-        if not is_matching(h, edges):
-            raise InvalidSeed(f"{label} is not a matching of the host graph")
-    union = sorted(m0_set | m_set)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(h.vertex_count)}
-    for eid in union:
-        u, v = h.endpoints[eid]
-        adj[u].append((eid, v))
-        adj[v].append((eid, u))
-
-    seen: set[int] = set()
-    out: list[AlternatingComponent] = []
-
-    def walk(start: int) -> AlternatingComponent:
-        verts = [start]
-        edges: list[int] = []
-        seen.add(start)
-        prev_edge = -1
-        v = start
-        while True:
-            step = [(eid, w) for eid, w in adj[v] if eid != prev_edge]
-            if not step:
-                return AlternatingComponent("path", tuple(verts), tuple(edges))
-            eid, w = min(step)
-            edges.append(eid)
-            if w == start:
-                return AlternatingComponent("cycle", tuple(verts), tuple(edges))
-            verts.append(w)
-            seen.add(w)
-            prev_edge = eid
-            v = w
-
-    for v in range(h.vertex_count):
-        if v in seen:
-            continue
-        if len(adj[v]) <= 1:
-            out.append(walk(v))
-    for v in range(h.vertex_count):
-        if v not in seen:
-            out.append(walk(v))
-    out.sort(key=lambda comp: min(comp.vertices))
-    return out

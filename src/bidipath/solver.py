@@ -2,12 +2,12 @@
 
 The pipeline (`solve`): build the auxiliary graph once, grow one maximum
 matching from the base matching, read the packing size off the matching
-surplus, extract the paths from the alternating components of the two
-matchings' union, and translate the Tutte-Berge witness read off the same
-matching (the A-set of its Gallai-Edmonds partition) into a vertex-set pair
-(S, T) whose dual bound equals the packing size. When fewer than k
-paths exist, a leave-one-out selection over the restricted graph's
-components yields a hitting set of size at most 2k-2.
+surplus and the paths off walks of the matching from the X-vertices, and
+translate the Tutte-Berge witness read off the same matching (the A-set of
+its Gallai-Edmonds partition) into a vertex-set pair (S, T) whose dual bound
+equals the packing size. When fewer than k paths exist, a leave-one-out
+selection over the restricted graph's components yields a hitting set of
+size at most 2k-2.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .core import (
     restrict,
 )
 from .errors import InternalDualityMismatch, InvalidK, UnknownVertex
-from .matching import _Matcher, alternating_components, grow_matching
+from .matching import _Matcher, grow_matching
 
 
 @dataclass(frozen=True)
@@ -69,26 +69,39 @@ class VerificationResult:
         return self.ok
 
 
-def _packing(aux: AuxiliaryGraph, matching: frozenset[int]) -> PackingResult:
-    """The paths of the union of the base and the maximum matching that join
-    two X-vertices, as host paths; there are exactly as many as the surplus."""
-    k = len(matching) - len(aux.base_matching)
-    candidates: list[SignedPath] = []
-    for comp in alternating_components(aux.graph, aux.base_matching, matching):
-        if comp.kind != "path" or not comp.edges:
-            continue
-        first = aux.aux_vertices[comp.vertices[0]]
-        last = aux.aux_vertices[comp.vertices[-1]]
-        if not (first.is_original and last.is_original):
-            continue
-        lifted = AlternatingPath(comp.vertices, comp.edges)
-        candidates.append(project_path(aux, lifted).canonical())
-    if len(candidates) < k:
+def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
+    """The host paths of the matching's alternating X-paths against the base
+    matching; there are exactly as many as the matching's surplus.
+
+    The walk from each X-vertex takes the matching edge, then the split edge
+    of the copy it reached, and so on, until it reaches an X-vertex or a copy
+    the matching leaves exposed. The walks that end at a higher X-vertex are
+    kept; taken in ascending order of their start, they are the paths in
+    canonical orientation and order.
+    """
+    match, pair_edge, owners = matcher.match, matcher.pair_edge, aux.aux_vertices
+    k = (matcher.n - match.count(-1)) // 2 - len(aux.base_matching)
+    paths: list[SignedPath] = []
+    for x in sorted(aux.x):
+        start = v = aux.p(x, 0)
+        vertices, edges = [v], []
+        while (w := match[v]) != -1:
+            edges.append(pair_edge[(v, w) if v < w else (w, v)])
+            vertices.append(w)
+            owner = owners[w]
+            if owner.is_original:
+                break
+            v = aux.p(owner.vertex, 3 - owner.copy)
+            edges.append(aux.split_edges[owner.vertex])
+            vertices.append(v)
+        if vertices[-1] > start and owners[vertices[-1]].is_original:
+            lifted = AlternatingPath(tuple(vertices), tuple(edges))
+            paths.append(project_path(aux, lifted))
+    if len(paths) != k:
         raise InternalDualityMismatch(
-            f"matching surplus {k} exceeds the {len(candidates)} extracted paths"
+            f"matching surplus {k} differs from the {len(paths)} X-paths walked"
         )
-    candidates.sort(key=lambda p: (p.vertices[0], p.vertices[-1], p.vertices, p.edges))
-    return PackingResult(k, tuple(candidates[:k]))
+    return PackingResult(k, tuple(paths))
 
 
 class Solution:
@@ -113,33 +126,32 @@ class Solution:
         self.threshold = threshold
         self._aux = aux
         self._matcher = matcher
-        self.packing = _packing(aux, matcher.matched_edges())
+        self.packing = _packing(aux, matcher)
 
     @functools.cached_property
     def certificate(self) -> Certificate:
-        """A dual pair (S, T) attaining the packing size.
+        """A dual pair (S, T) attaining the packing size, checked once by
+        `verify_certificate`.
 
         The A-set U of the auxiliary graph's Gallai-Edmonds partition is
-        translated by copy membership: T collects vertices whose copy 1 lies
-        in U, S those whose copy 2 does (an X-vertex, owning a single copy,
-        lands in both or neither). The translation satisfies
+        translated by copy membership: T collects the owners of the copies 1
+        in U, S those of the copies 2, and an X-vertex in U, owning a single
+        copy, lands in both. The translation satisfies
         U = p(T x {1}) ∪ p(S x {2}).
         """
-        aux, g = self._aux, self.g
-        u = self._matcher.gallai_edmonds().a
         s, t = set(), set()
-        for v in g.vertices():
-            if aux.p(v, 1) in u:
-                t.add(v)
-            if aux.p(v, 2) in u:
-                s.add(v)
+        for a in self._matcher.gallai_edmonds().a:
+            owner = self._aux.aux_vertices[a]
+            if owner.copy != 2:
+                t.add(owner.vertex)
+            if owner.copy != 1:
+                s.add(owner.vertex)
         k = self.packing.k
-        value = dual_value(g, self.x, s, t)
-        if value != k:
-            raise InternalDualityMismatch(
-                f"translated dual bound {value} differs from packing size {k}"
-            )
-        return Certificate(frozenset(s), frozenset(t), value)
+        cert = Certificate(frozenset(s), frozenset(t), k)
+        check = verify_certificate(self.g, self.x, cert, k)
+        if not check:
+            raise InternalDualityMismatch(f"certificate check failed: {check.reason}")
+        return cert
 
     @functools.cached_property
     def hitting_set(self) -> HittingSet | None:

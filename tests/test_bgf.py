@@ -79,3 +79,23 @@ def test_round_trip_preserves_ids():
 def test_format_empty_instance():
     inst = parse_instance("")
     assert format_instance(inst) == ""
+
+
+# Messages as the tokenizing parser first produced them.
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("v a\nv b\n  e a - b  x\n", ParseError, "line 3, column 12: expected '-' or '+', got 'x'"),
+        ("v a\n\n  q a\n", ParseError, "line 3, column 3: unknown directive 'q'"),
+        ("v a\n v  a-b\n", ParseError, "line 2, column 5: invalid vertex name 'a-b'"),
+        ("v a\n  x  \n", ParseError, "line 2, column 4: expected: x NAME [NAME ...]"),
+        ("v a\ne a - zz +\n", UnknownVertex, "line 2, column 7: unknown vertex 'zz'"),
+    ],
+    ids=["bad-sign", "unknown-directive", "bad-name", "arity-past-last-token", "unknown-vertex"],
+)
+def test_diagnostics_carry_line_and_column(text, error, message):
+    with pytest.raises(error) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+    if error is ParseError:
+        assert f"line {info.value.line}, column {info.value.column}: " in message

@@ -105,6 +105,15 @@ def test_convert_rejects_loop(tmp_path, capsys):
     assert main(["convert", "--mode", "digraph", str(src)]) == 2
 
 
+def test_convert_rejects_a_name_bgf_cannot_hold(tmp_path, capsys):
+    src = tmp_path / "names"
+    src.write_text("a b\n  c d.2\n")
+    assert main(["convert", "--mode", "digraph", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bidipath: line 2, column 5: invalid vertex name 'd.2'\n"
+
+
 def test_generate_is_deterministic(capsys):
     args = ["generate", "-n", "6", "-m", "9", "--x-frac", "0.6", "--seed", "11"]
     assert main(args) == 0
@@ -224,6 +233,13 @@ def test_hitting_set_on_a_long_sign_broken_chain(tmp_path, capsys):
     assert out["audit"] == ["no-x-path"]
 
 
+def test_hitting_set_on_a_10k_vertex_sign_broken_chain(tmp_path, capsys):
+    path = tmp_path / "chain.bgf"
+    path.write_text(format_instance(sign_broken_chain(random.Random(5), 10_000)))
+    assert main(["hitting-set", str(path), "-k", "1", "--format", "machine"]) == 0
+    assert machine_lines(capsys.readouterr().out)["audit"] == ["no-x-path"]
+
+
 def test_unexpected_error_is_exit_3_without_traceback(k5_file, capsys, monkeypatch):
     def broken_solve(*args, **kwargs):
         raise RuntimeError("solver exploded")
@@ -232,3 +248,13 @@ def test_unexpected_error_is_exit_3_without_traceback(k5_file, capsys, monkeypat
     assert main(["solve", k5_file]) == 3
     err = capsys.readouterr().err
     assert err == "bidipath: internal error: RuntimeError: solver exploded\n"
+
+
+def test_a_certificate_that_fails_its_check_exits_3_with_the_reason(k5_file, capsys, monkeypatch):
+    monkeypatch.setattr("bidipath.solver.dual_value", lambda *args: 99)
+    assert main(["solve", k5_file, "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "bidipath: internal assertion failed: certificate check failed: value-mismatch\n"
+    )

@@ -1,4 +1,4 @@
-"""Blossom matching, Gallai-Edmonds, witness duality, union decomposition."""
+"""Blossom matching, Gallai-Edmonds, witness duality."""
 
 import pytest
 from hypothesis import given
@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bidipath import (
     Multigraph,
-    alternating_components,
     build_auxiliary,
     gallai_edmonds,
     is_matching,
@@ -155,54 +154,6 @@ def test_gallai_edmonds_invariants(seed):
             )
             assert len(maximum_matching(inner)) == (len(comp) - 1) // 2
     assert nu == (n - len(comps) + len(ge.a)) // 2
-
-
-def test_alternating_components_shared_edges_become_short_paths():
-    h = path_graph(4)
-    m = maximum_matching(h)
-    comps = alternating_components(h, m, m)
-    kinds = [(c.kind, len(c.edges)) for c in comps]
-    assert kinds == [("path", 1), ("path", 1)]
-
-
-def test_alternating_components_empty_m0():
-    h = path_graph(5)
-    m = maximum_matching(h)
-    comps = alternating_components(h, (), m)
-    assert sum(1 for c in comps if c.edges) == len(m)
-    assert sum(1 for c in comps if not c.edges) == 5 - 2 * len(m)
-
-
-def test_alternating_components_six_cycle():
-    h = Multigraph(6, tuple((i, (i + 1) % 6) for i in range(6)))
-    m0 = frozenset({0, 2, 4})
-    m = frozenset({1, 3, 5})
-    comps = alternating_components(h, m0, m)
-    assert len(comps) == 1
-    assert comps[0].kind == "cycle"
-    assert len(comps[0].edges) == 6
-    assert comps[0].vertices[0] == 0
-
-
-def test_alternating_components_rejects_non_matching():
-    h = path_graph(3)
-    with pytest.raises(InvalidSeed):
-        alternating_components(h, (0, 1), ())
-
-
-@given(st.integers(0, 10000))
-def test_union_components_alternate(seed):
-    h = random_multigraph(seed, max_n=8, max_m=10)
-    m0 = maximum_matching(h)
-    # a second matching grown from scratch on the complement scan order
-    m = maximum_matching(h, seed=())
-    for comp in alternating_components(h, m0, m):
-        for first, second in zip(comp.edges, comp.edges[1:]):
-            in0_first, in0_second = first in m0, second in m0
-            in1_first, in1_second = first in m, second in m
-            # consecutive edges cannot both lie in one matching
-            assert not (in0_first and in0_second)
-            assert not (in1_first and in1_second)
 
 
 def _greedy_matching(h: Multigraph, order) -> frozenset[int]:

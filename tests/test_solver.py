@@ -27,7 +27,9 @@ from bidipath import (
     verify_certificate,
 )
 from bidipath.errors import InvalidK, SideConditionViolated, UnknownVertex
+from bidipath.matching import _Matcher
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
+from bidipath.solver import _packing
 from helpers import (
     complete_all_minus,
     gamma_image,
@@ -87,6 +89,76 @@ def test_packing_paths_are_valid_and_disjoint_on_random_instances():
             assert not (set(p.vertices) & used)
             used |= set(p.vertices)
         assert len(result.paths) == result.k
+
+
+def _walk(g, x, seed):
+    """The packing read off a matcher holding the given auxiliary edges."""
+    aux = build_auxiliary(g, x)
+    matcher = _Matcher(aux.graph)
+    matcher.seed(seed(aux))
+    return aux, matcher, _packing(aux, matcher)
+
+
+def test_walk_takes_an_x_x_edge():
+    g = BidirectedMultigraph()
+    a, b = g.add_vertices(2)
+    g.add_edge(b, PLUS, a, PLUS)  # parallel X-X edges: the walk takes the matched one
+    g.add_edge(a, MINUS, b, MINUS)
+    packing = solve(g, {a, b}).packing
+    assert packing == PackingResult(1, (SignedPath((a, b), (0,)),))
+
+
+def _path_through_two_split_vertices():
+    # u, a, v, b: the only X-path is a -e2- u -e1- v -e0- b.
+    g = BidirectedMultigraph()
+    u, a, v, b = g.add_vertices(4)
+    g.add_edge(b, MINUS, v, PLUS)
+    g.add_edge(v, MINUS, u, PLUS)
+    g.add_edge(u, MINUS, a, PLUS)
+    return g, {a, b}
+
+
+def test_walk_crosses_split_edges_from_the_lower_x_end():
+    g, x = _path_through_two_split_vertices()
+    assert solve(g, x).packing == PackingResult(1, (SignedPath((1, 0, 2, 3), (2, 1, 0)),))
+
+
+def test_walk_passes_a_split_edge_both_matchings_hold():
+    g, x = _path_through_two_split_vertices()
+    w = g.add_vertex()
+    g.add_edge(w, PLUS, 0, PLUS)  # w hangs off u and lies on no X-path
+    solution = solve(g, x)
+    aux = build_auxiliary(g, x)
+    assert aux.split_edges[w] in solution._matcher.matched_edges()
+    assert solution.packing == PackingResult(1, (SignedPath((1, 0, 2, 3), (2, 1, 0)),))
+
+
+def test_walk_that_dead_ends_at_an_exposed_copy_is_dropped():
+    # a's matching edge leads into v, whose other copy the matching leaves
+    # exposed: that walk has surplus 0. b-c is the one X-path.
+    g = BidirectedMultigraph()
+    a, v, b, c = g.add_vertices(4)
+    g.add_edge(a, MINUS, v, MINUS)
+    g.add_edge(b, MINUS, c, PLUS)
+    aux, matcher, packing = _walk(
+        g, {a, b, c}, lambda aux: {aux.lifted_edges[0], aux.lifted_edges[1]}
+    )
+    assert matcher.match[aux.p(v, 2)] == -1
+    assert packing == PackingResult(1, (SignedPath((b, c), (1,)),))
+
+
+def test_walk_never_enters_an_alternating_cycle_without_x():
+    # u1-v1 and u2-v2 replace both split edges: a cycle that alternates
+    # against the base matching but holds no X-vertex.
+    g = BidirectedMultigraph()
+    a, u, v, b = g.add_vertices(4)
+    g.add_edge(u, MINUS, v, MINUS)
+    g.add_edge(u, PLUS, v, PLUS)
+    g.add_edge(a, MINUS, b, MINUS)
+    aux, matcher, packing = _walk(g, {a, b}, lambda aux: set(aux.lifted_edges.values()))
+    assert matcher.match[aux.p(u, 1)] == aux.p(v, 1)
+    assert matcher.match[aux.p(u, 2)] == aux.p(v, 2)
+    assert packing == PackingResult(1, (SignedPath((a, b), (2,)),))
 
 
 def test_certificate_empty_x():
@@ -345,3 +417,29 @@ def test_outputs_match_the_recorded_digest():
         cert = certificate(inst.graph, inst.x)
         digest.update(repr((packing, sorted(cert.s), sorted(cert.t))).encode())
     assert digest.hexdigest() == RECORDED_DIGEST
+
+
+# Beyond the oracles' reach: the self-checks carry the proof at 10^4 vertices.
+def test_solve_self_checks_hold_on_a_10k_vertex_instance():
+    inst = generate_instance(10_000, 30_000, 0.2, seed=5)
+    g, x = inst.graph, inst.x
+    solution = solve(g, x)
+    used: set[int] = set()
+    for p in solution.packing.paths:
+        assert is_x_path(g, x, p)
+        assert used.isdisjoint(p.vertices)
+        used.update(p.vertices)
+    assert verify_certificate(g, x, solution.certificate, solution.packing.k)
+
+
+def test_a_10k_vertex_sign_consistent_chain_has_one_x_path():
+    n = 10_000
+    g = BidirectedMultigraph()
+    g.add_vertices(n)
+    for i in range(n - 1):
+        g.add_edge(i, PLUS, i + 1, MINUS)
+    solution = solve(g, {0, n - 1})
+    assert solution.packing == PackingResult(
+        1, (SignedPath(tuple(range(n)), tuple(range(n - 1))),)
+    )
+    assert solution.certificate.value == 1
