@@ -9,6 +9,7 @@ X-paths here, and that bijection is implemented by lift_path / project_path.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -65,52 +66,64 @@ class AlternatingPath:
 class AuxiliaryGraph:
     """Frozen result of build_auxiliary; safe for shared read access.
 
-    Vertex ids are dense, ordered by (underlying vertex, copy). Edge ids put
-    all split edges first (by underlying vertex), then the rerouted host
-    edges (by host edge id), so matchings and certificates are reproducible.
+    Vertex ids are dense, ordered by (underlying vertex, copy): `first[v]` is
+    the one id of an X-vertex v, or the id of copy 1 of any other vertex,
+    whose copy 2 is `first[v] + 1`. `owner[a]` and `copy[a]` name the host
+    vertex and the copy (0 for an X-vertex) of auxiliary vertex a. Edge ids
+    put the split edges first (by underlying vertex), then the rerouted host
+    edges: host edge e becomes edge `len(split_edges) + e`. So matchings and
+    certificates are reproducible.
     """
 
     def __init__(self, host: BidirectedMultigraph, x: frozenset[VertexId]):
         self.host = host
         self.x = x
-        aux_vertices: list[AuxVertex] = []
-        for v in host.vertices():
-            if v in x:
-                aux_vertices.append(AuxVertex(v, 0))
-            else:
-                aux_vertices.append(AuxVertex(v, 1))
-                aux_vertices.append(AuxVertex(v, 2))
-        self.aux_vertices = tuple(aux_vertices)
-        self.index = {av: i for i, av in enumerate(aux_vertices)}
-
+        first: list[int] = []
+        owner: list[VertexId] = []
+        copy: list[int] = []
+        # An edge end with sign - at v lands on first[v], one with sign + on at_plus[v].
+        at_plus: list[int] = []
         endpoints: list[tuple[int, int]] = []
         self.split_edges: dict[VertexId, EdgeId] = {}
         for v in host.vertices():
-            if v not in x:
+            a = len(owner)
+            first.append(a)
+            if v in x:
+                owner.append(v)
+                copy.append(0)
+                at_plus.append(a)
+            else:
+                owner += (v, v)
+                copy += (1, 2)
+                at_plus.append(a + 1)
                 self.split_edges[v] = len(endpoints)
-                endpoints.append((self.index[AuxVertex(v, 1)], self.index[AuxVertex(v, 2)]))
-        self.base_matching = frozenset(self.split_edges.values())
+                endpoints.append((a, a + 1))
+        self.first = first
+        self.owner = owner
+        self.copy = copy
+        self.base_matching = frozenset(range(len(endpoints)))
+        endpoints += [
+            (
+                (first if sign_u is MINUS else at_plus)[u],
+                (first if sign_v is MINUS else at_plus)[v],
+            )
+            for u, sign_u, v, sign_v in host.edge_ends()
+        ]
+        self.graph = Multigraph(len(owner), tuple(endpoints))
 
-        self.lifted_edges: dict[EdgeId, EdgeId] = {}
-        self.host_edge_of: dict[EdgeId, EdgeId] = {}
-        for eid in range(host.edge_count):
-            e = host.edge(eid)
-            a = self.p(e.u, copy_index(e.sign_u))
-            b = self.p(e.v, copy_index(e.sign_v))
-            self.lifted_edges[eid] = len(endpoints)
-            self.host_edge_of[len(endpoints)] = eid
-            endpoints.append((a, b))
-
-        self.graph = Multigraph(len(aux_vertices), tuple(endpoints))
+    @functools.cached_property
+    def aux_vertices(self) -> tuple[AuxVertex, ...]:
+        """The (vertex, copy) pair of every auxiliary id, in id order."""
+        return tuple(AuxVertex(v, c) for v, c in zip(self.owner, self.copy))
 
     def p(self, v: VertexId, i: int) -> int:
         """The projection map: X-vertices stay themselves, others go to copy i."""
-        if v in self.x:
-            return self.index[AuxVertex(v, 0)]
-        return self.index[AuxVertex(v, i)]
+        a = self.first[v]
+        return a if self.copy[a] == 0 else a + i - 1
 
-    def underlying(self, aux_id: int) -> VertexId:
-        return self.aux_vertices[aux_id].vertex
+    def lifted(self, e: EdgeId) -> EdgeId:
+        """The auxiliary edge that host edge e is rerouted to."""
+        return len(self.split_edges) + e
 
 
 def build_auxiliary(g: BidirectedMultigraph, x: Iterable[VertexId]) -> AuxiliaryGraph:
@@ -132,12 +145,12 @@ def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> AlternatingPath:
     edges: list[EdgeId] = []
     for i, eid in enumerate(p.edges):
         v = p.vertices[i + 1]
-        edges.append(aux.lifted_edges[eid])
+        edges.append(aux.lifted(eid))
         if i + 1 < len(p.vertices) - 1:
             c_in = copy_index(aux.host.sign(v, eid))
-            verts.append(aux.index[AuxVertex(v, c_in)])
+            verts.append(aux.p(v, c_in))
             edges.append(aux.split_edges[v])
-            verts.append(aux.index[AuxVertex(v, 3 - c_in)])
+            verts.append(aux.p(v, 3 - c_in))
         else:
             verts.append(aux.p(v, 0))
     return AlternatingPath(tuple(verts), tuple(edges))
@@ -151,12 +164,13 @@ def project_path(aux: AuxiliaryGraph, q: AlternatingPath) -> SignedPath:
     the base matching.
     """
     vs, es = q.vertices, q.edges
+    split_count = len(aux.split_edges)
     for a in vs:
         if not 0 <= a < aux.graph.vertex_count:
             raise NotAlternating(f"unknown auxiliary vertex {a}")
     if len(set(vs)) != len(vs):
         raise NotAlternating("path revisits an auxiliary vertex")
-    if not (aux.aux_vertices[vs[0]].is_original and aux.aux_vertices[vs[-1]].is_original):
+    if aux.copy[vs[0]] != 0 or aux.copy[vs[-1]] != 0:
         raise EndpointsNotInX("both endpoints must be X-vertices")
     if q.length < 1 or q.length % 2 == 0:
         raise NotAlternating("a base-alternating X-path has odd length >= 1")
@@ -166,12 +180,13 @@ def project_path(aux: AuxiliaryGraph, q: AlternatingPath) -> SignedPath:
         u, v = aux.graph.endpoints[eid]
         if {u, v} != {vs[i], vs[i + 1]}:
             raise NotAlternating("edge does not join consecutive path vertices")
-        in_base = eid in aux.base_matching
+        in_base = eid < split_count
         if in_base != (i % 2 == 1):
             raise NotAlternating("edges must alternate against the base matching")
-    b_verts = [aux.underlying(vs[0])]
+    owner = aux.owner
+    b_verts = [owner[vs[0]]]
     b_edges = []
     for i in range(0, len(es), 2):
-        b_edges.append(aux.host_edge_of[es[i]])
-        b_verts.append(aux.underlying(vs[i + 1]))
+        b_edges.append(es[i] - split_count)
+        b_verts.append(owner[vs[i + 1]])
     return SignedPath(tuple(b_verts), tuple(b_edges))

@@ -16,11 +16,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import BidirectedMultigraph, Sign, VertexId
+from .core import MINUS, PLUS, BidirectedMultigraph, VertexId
 from .errors import DuplicateVertex, LoopRejected, ParseError, UnknownVertex
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
 _TOKEN = re.compile(r"\S+")
+_SIGNS = {"-": MINUS, "+": PLUS}
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ def parse_instance(text: str) -> Instance:
     names: list[str] = []
     ids: dict[str, VertexId] = {}
     x: set[VertexId] = set()
+    add_edge = graph.add_edge
 
     # Both read the line being parsed: number, raw and tokens.
     def fail(index: int, message: str):
@@ -96,18 +98,17 @@ def parse_instance(text: str) -> Instance:
                 fail(1, "expected: e U SIGN_U V SIGN_V")
             u = lookup(1)
             v = lookup(3)
-            signs = []
-            for index in (2, 4):
-                token = tokens[index]
-                try:
-                    signs.append(Sign.parse(token))
-                except ValueError:
-                    fail(index, f"expected '-' or '+', got {token!r}")
+            sign_u = _SIGNS.get(tokens[2])
+            if sign_u is None:
+                fail(2, f"expected '-' or '+', got {tokens[2]!r}")
+            sign_v = _SIGNS.get(tokens[4])
+            if sign_v is None:
+                fail(4, f"expected '-' or '+', got {tokens[4]!r}")
             if u == v:
                 raise LoopRejected(
                     f"line {number}: loop at vertex {tokens[1]!r}"
                 )
-            graph.add_edge(u, signs[0], v, signs[1])
+            add_edge(u, sign_u, v, sign_v)
         elif directive == "x":
             if args < 1:
                 fail(1, "expected: x NAME [NAME ...]")
@@ -120,14 +121,10 @@ def parse_instance(text: str) -> Instance:
 
 def format_instance(instance: Instance) -> str:
     """Emit BGF text that parses back with identical vertex and edge ids."""
-    out = []
-    for v in instance.graph.vertices():
-        out.append(f"v {instance.names[v]}")
-    for eid in range(instance.graph.edge_count):
-        e = instance.graph.edge(eid)
-        out.append(
-            f"e {instance.names[e.u]} {e.sign_u} {instance.names[e.v]} {e.sign_v}"
-        )
+    names = instance.names
+    out = [f"v {names[v]}" for v in instance.graph.vertices()]
+    for u, sign_u, v, sign_v in instance.graph.edge_ends():
+        out.append(f"e {names[u]} {sign_u} {names[v]} {sign_v}")
     if instance.x:
-        out.append("x " + " ".join(instance.names[v] for v in sorted(instance.x)))
+        out.append("x " + " ".join(names[v] for v in sorted(instance.x)))
     return "\n".join(out) + "\n" if out else ""

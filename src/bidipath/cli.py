@@ -8,11 +8,9 @@ error; either indicates a bug).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import sys
 from pathlib import Path
 
-from . import oracle
 from .bgf import _NAME, Instance, _column, format_instance, parse_instance
 from .core import Multigraph, delete_vertices, from_digraph, from_undirected
 from .dot import export_dot
@@ -45,9 +43,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole input at once, so exc.object is all of it.
+        data, start = exc.object, exc.start
+        line_start = data.rfind(b"\n", 0, start) + 1
+        raise ParseError(
+            f"not UTF-8 text: byte {data[start]:#04x}",
+            data.count(b"\n", 0, start) + 1,
+            len(data[line_start:start].decode("utf-8")) + 1,
+        ) from None
 
 
 def _render_path(instance: Instance, path) -> str:
@@ -211,6 +219,8 @@ def _cmd_export_dot(args) -> int:
 
 
 def _verify_one(path: str, limit: int) -> dict:
+    from . import oracle  # only verify runs the oracles
+
     instance = parse_instance(_read_text(path))
     g, x = instance.graph, instance.x
     solution = solve(g, x)
@@ -234,8 +244,14 @@ def _verify_one(path: str, limit: int) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    if args.jobs > 1 and len(args.instances) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    if args.jobs < 1:
+        raise InvalidParameter("--jobs must be at least 1")
+    # The pool starts all its workers at once: never more than there is work for.
+    workers = min(args.jobs, len(args.instances))
+    if workers > 1:
+        import concurrent.futures  # only verify uses a pool
+
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             reports = list(pool.map(_verify_one, args.instances, [args.limit] * len(args.instances)))
     else:
         reports = [_verify_one(path, args.limit) for path in args.instances]

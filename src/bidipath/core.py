@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GraphFrozen,
@@ -78,10 +78,17 @@ class BidirectedMultigraph:
     The graph is mutable while being built and may be frozen afterwards;
     frozen graphs are safe to share between threads. Parallel edges are kept
     as distinct edges (even with identical sign pairs); loops are rejected.
+
+    Edges are stored as four parallel lists indexed by edge id (the two
+    endpoints and their signs) plus one incidence list per vertex. `edge(e)`
+    builds an `Edge` view on each call; `edge_ends()` is the bulk read.
     """
 
     def __init__(self) -> None:
-        self._edges: list[Edge] = []
+        self._u: list[VertexId] = []
+        self._sign_u: list[Sign] = []
+        self._v: list[VertexId] = []
+        self._sign_v: list[Sign] = []
         self._incidence: list[list[EdgeId]] = []
         self._frozen = False
 
@@ -103,13 +110,19 @@ class BidirectedMultigraph:
             raise GraphFrozen("cannot add an edge to a frozen graph")
         if u == v:
             raise LoopRejected(f"loop at vertex {u}")
-        for w in (u, v):
-            if not self.has_vertex(w):
-                raise UnknownVertex(f"vertex {w} does not exist")
-        eid = len(self._edges)
-        self._edges.append(Edge(u, sign_u, v, sign_v))
-        self._incidence[u].append(eid)
-        self._incidence[v].append(eid)
+        incidence = self._incidence
+        n = len(incidence)
+        if not 0 <= u < n:
+            raise UnknownVertex(f"vertex {u} does not exist")
+        if not 0 <= v < n:
+            raise UnknownVertex(f"vertex {v} does not exist")
+        eid = len(self._u)
+        self._u.append(u)
+        self._sign_u.append(sign_u)
+        self._v.append(v)
+        self._sign_v.append(sign_v)
+        incidence[u].append(eid)
+        incidence[v].append(eid)
         return eid
 
     def freeze(self) -> "BidirectedMultigraph":
@@ -124,7 +137,7 @@ class BidirectedMultigraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return len(self._u)
 
     def vertices(self) -> range:
         return range(self.vertex_count)
@@ -138,7 +151,11 @@ class BidirectedMultigraph:
     def edge(self, e: EdgeId) -> Edge:
         if not self.has_edge(e):
             raise UnknownVertex(f"edge {e} does not exist")
-        return self._edges[e]
+        return Edge(self._u[e], self._sign_u[e], self._v[e], self._sign_v[e])
+
+    def edge_ends(self) -> Iterator[tuple[VertexId, Sign, VertexId, Sign]]:
+        """(u, sign_u, v, sign_v) of every edge, in id order."""
+        return zip(self._u, self._sign_u, self._v, self._sign_v)
 
     def incident_edges(self, v: VertexId) -> Sequence[EdgeId]:
         """Edge ids incident to v, in insertion (= id) order."""
@@ -148,7 +165,13 @@ class BidirectedMultigraph:
 
     def sign(self, v: VertexId, e: EdgeId) -> Sign:
         """The sign of half-edge (v, e)."""
-        return self.edge(e).sign_at(v)
+        if not self.has_edge(e):
+            raise UnknownVertex(f"edge {e} does not exist")
+        if v == self._u[e]:
+            return self._sign_u[e]
+        if v == self._v[e]:
+            return self._sign_v[e]
+        raise UnknownVertex(f"vertex {v} is not an endpoint of this edge")
 
     def check_vertex_set(self, vs: Iterable[VertexId]) -> frozenset[VertexId]:
         out = frozenset(vs)
@@ -289,6 +312,12 @@ class RestrictedGraph:
         return weak_components(self.as_multigraph())
 
 
+_ANY_SIGN = (MINUS, PLUS)
+_MINUS_ONLY = (MINUS,)
+_PLUS_ONLY = (PLUS,)
+_NO_SIGN = ()
+
+
 def restrict(
     g: BidirectedMultigraph,
     s: Iterable[VertexId],
@@ -297,24 +326,20 @@ def restrict(
     """The restricted multigraph keeping edges whose every end passes the keep rule."""
     ss = g.check_vertex_set(s)
     ts = g.check_vertex_set(t)
-
-    def end_ok(v: VertexId, sign: Sign) -> bool:
-        in_s, in_t = v in ss, v in ts
-        if not in_s and not in_t:
-            return True
-        if in_s and not in_t:
-            return sign is MINUS
-        if in_t and not in_s:
-            return sign is PLUS
-        return False
-
+    # The signs an edge end may carry at each vertex and still be kept.
+    allowed = [_ANY_SIGN] * g.vertex_count
+    for v in ss - ts:
+        allowed[v] = _MINUS_ONLY
+    for v in ts - ss:
+        allowed[v] = _PLUS_ONLY
+    for v in ss & ts:
+        allowed[v] = _NO_SIGN
     kept: list[EdgeId] = []
     ends: list[tuple[VertexId, VertexId]] = []
-    for eid in range(g.edge_count):
-        e = g.edge(eid)
-        if end_ok(e.u, e.sign_u) and end_ok(e.v, e.sign_v):
+    for eid, (u, sign_u, v, sign_v) in enumerate(g.edge_ends()):
+        if sign_u in allowed[u] and sign_v in allowed[v]:
             kept.append(eid)
-            ends.append((e.u, e.v))
+            ends.append((u, v))
     return RestrictedGraph(g.vertex_count, tuple(kept), tuple(ends))
 
 
@@ -350,10 +375,9 @@ def delete_vertices(
     for v in g.vertices():
         if v not in dropped:
             remap[v] = out.add_vertex()
-    for eid in range(g.edge_count):
-        e = g.edge(eid)
-        if e.u in remap and e.v in remap:
-            out.add_edge(remap[e.u], e.sign_u, remap[e.v], e.sign_v)
+    for u, sign_u, v, sign_v in g.edge_ends():
+        if u in remap and v in remap:
+            out.add_edge(remap[u], sign_u, remap[v], sign_v)
     return out, remap
 
 

@@ -47,11 +47,10 @@ def export_dot(
         attrs = " ".join(vertex_attrs[v])
         suffix = f" [{attrs}]" if attrs else ""
         lines.append(f'  "{instance.names[v]}"{suffix};')
-    for eid in range(g.edge_count):
-        e = g.edge(eid)
-        attrs = [f'label="{e.sign_u}{e.sign_v}"'] + edge_attrs[eid]
+    for eid, (u, sign_u, v, sign_v) in enumerate(g.edge_ends()):
+        attrs = [f'label="{sign_u}{sign_v}"'] + edge_attrs[eid]
         lines.append(
-            f'  "{instance.names[e.u]}" -- "{instance.names[e.v]}" '
+            f'  "{instance.names[u]}" -- "{instance.names[v]}" '
             f"[{' '.join(attrs)}];"
         )
     lines.append("}")

@@ -79,22 +79,22 @@ def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
     kept; taken in ascending order of their start, they are the paths in
     canonical orientation and order.
     """
-    match, pair_edge, owners = matcher.match, matcher.pair_edge, aux.aux_vertices
+    match, pair_edge = matcher.match, matcher.pair_edge
+    owner, copy, split_edges = aux.owner, aux.copy, aux.split_edges
     k = (matcher.n - match.count(-1)) // 2 - len(aux.base_matching)
     paths: list[SignedPath] = []
     for x in sorted(aux.x):
-        start = v = aux.p(x, 0)
+        start = v = aux.first[x]
         vertices, edges = [v], []
         while (w := match[v]) != -1:
             edges.append(pair_edge[(v, w) if v < w else (w, v)])
             vertices.append(w)
-            owner = owners[w]
-            if owner.is_original:
+            if copy[w] == 0:
                 break
-            v = aux.p(owner.vertex, 3 - owner.copy)
-            edges.append(aux.split_edges[owner.vertex])
+            v = w + 1 if copy[w] == 1 else w - 1  # the other copy
+            edges.append(split_edges[owner[w]])
             vertices.append(v)
-        if vertices[-1] > start and owners[vertices[-1]].is_original:
+        if vertices[-1] > start and copy[vertices[-1]] == 0:
             lifted = AlternatingPath(tuple(vertices), tuple(edges))
             paths.append(project_path(aux, lifted))
     if len(paths) != k:
@@ -139,13 +139,13 @@ class Solution:
         copy, lands in both. The translation satisfies
         U = p(T x {1}) ∪ p(S x {2}).
         """
+        owner, copy = self._aux.owner, self._aux.copy
         s, t = set(), set()
         for a in self._matcher.gallai_edmonds().a:
-            owner = self._aux.aux_vertices[a]
-            if owner.copy != 2:
-                t.add(owner.vertex)
-            if owner.copy != 1:
-                s.add(owner.vertex)
+            if copy[a] != 2:
+                t.add(owner[a])
+            if copy[a] != 1:
+                s.add(owner[a])
         k = self.packing.k
         cert = Certificate(frozenset(s), frozenset(t), k)
         check = verify_certificate(self.g, self.x, cert, k)

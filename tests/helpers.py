@@ -265,7 +265,7 @@ def verify_component_correspondence(g, x, s, t) -> bool:
         count += 1
         image: set[int] = set()
         for v in comp:
-            image.update(aux.index[a] for a in gamma_image(g, xs, ss, ts, v))
+            image.update(aux.p(a.vertex, a.copy) for a in gamma_image(g, xs, ss, ts, v))
         inside = sum(1 for v in comp if v in marked)
         if len(image) != inside + 2 * (len(comp) - inside):
             return False

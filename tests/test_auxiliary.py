@@ -8,6 +8,7 @@ from bidipath import (
     PLUS,
     AuxVertex,
     BidirectedMultigraph,
+    Edge,
     SignedPath,
     build_auxiliary,
     is_matching,
@@ -44,9 +45,9 @@ def test_build_splits_by_sign():
     assert aux.graph.edge_count == 2
     assert len(aux.base_matching) == 1
     # sign + at v routes the lifted edge to copy 2
-    lifted = aux.lifted_edges[e]
+    lifted = aux.lifted(e)
     ends = set(aux.graph.endpoints[lifted])
-    assert ends == {aux.p(x, 1), aux.index[AuxVertex(v, 2)]}
+    assert ends == {aux.p(x, 1), aux.p(v, 2)}
 
 
 def test_build_identity_when_x_is_everything():
@@ -69,7 +70,7 @@ def test_build_counts_and_base_matching():
     assert is_matching(aux.graph, aux.base_matching)
     assert len(aux.base_matching) == 3
     # the lifted-edge map is a bijection onto the non-base edges
-    lifted = set(aux.lifted_edges.values())
+    lifted = {aux.lifted(e) for e in range(g.edge_count)}
     assert len(lifted) == 3
     assert lifted | aux.base_matching == set(range(6))
 
@@ -88,7 +89,7 @@ def test_lift_length_one_path():
     aux = build_auxiliary(g, {a, b})
     q = lift_path(aux, SignedPath((a, b), (e,)))
     assert q.length == 1
-    assert q.edges == (aux.lifted_edges[e],)
+    assert q.edges == (aux.lifted(e),)
 
 
 def test_lift_routes_internal_copies_by_sign():
@@ -101,8 +102,8 @@ def test_lift_routes_internal_copies_by_sign():
     # enter at copy 2 (sign +), cross the split edge, leave from copy 1
     assert q.vertices == (
         aux.p(x1, 1),
-        aux.index[AuxVertex(v, 2)],
-        aux.index[AuxVertex(v, 1)],
+        aux.p(v, 2),
+        aux.p(v, 1),
         aux.p(x2, 1),
     )
     assert q.edges[1] == aux.split_edges[v]
@@ -137,14 +138,14 @@ def test_project_rejects_bad_inputs():
     with pytest.raises(NotAlternating):
         # f1 joins a and b, not a and c
         wrong_join = AlternatingPath(
-            (aux2.p(a, 1), aux2.p(c, 1)), (aux2.lifted_edges[f1],)
+            (aux2.p(a, 1), aux2.p(c, 1)), (aux2.lifted(f1),)
         )
         project_path(aux2, wrong_join)
     with pytest.raises(NotAlternating):
         # even length cannot alternate with non-base edges at both ends
         even = AlternatingPath(
             (aux2.p(a, 1), aux2.p(b, 1), aux2.p(c, 1)),
-            (aux2.lifted_edges[f1], aux2.lifted_edges[f2]),
+            (aux2.lifted(f1), aux2.lifted(f2)),
         )
         project_path(aux2, even)
 
@@ -154,7 +155,7 @@ def test_project_single_non_base_edge():
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, PLUS)
     aux = build_auxiliary(g, {a, b})
-    q = AlternatingPath((aux.p(a, 1), aux.p(b, 1)), (aux.lifted_edges[e],))
+    q = AlternatingPath((aux.p(a, 1), aux.p(b, 1)), (aux.lifted(e),))
     assert project_path(aux, q) == SignedPath((a, b), (e,))
 
 
@@ -184,3 +185,35 @@ def test_disjointness_preserved_both_ways(gx):
             host_disjoint = not (set(paths[i].vertices) & set(paths[j].vertices))
             aux_disjoint = not (set(lifted[i].vertices) & set(lifted[j].vertices))
             assert host_disjoint == aux_disjoint
+
+
+@given(graph_and_x())
+def test_flat_layout_of_host_and_auxiliary_graph(gx):
+    g, x = gx
+    ends = list(g.edge_ends())
+    assert len(ends) == g.edge_count
+    # Replaying the edges through add_edge gives back exactly its arguments.
+    h = BidirectedMultigraph()
+    h.add_vertices(g.vertex_count)
+    for e, (u, sign_u, v, sign_v) in enumerate(ends):
+        assert h.add_edge(u, sign_u, v, sign_v) == e
+        assert h.edge(e) == g.edge(e) == Edge(u, sign_u, v, sign_v)
+        assert (h.sign(u, e), h.sign(v, e)) == (sign_u, sign_v)
+        assert e in h.incident_edges(u) and e in h.incident_edges(v)
+    assert list(h.edge_ends()) == ends
+
+    aux = build_auxiliary(g, x)
+    layout = sorted(
+        [(v, 0) for v in x] + [(v, c) for v in g.vertices() if v not in x for c in (1, 2)]
+    )
+    assert [(a.vertex, a.copy) for a in aux.aux_vertices] == layout
+    assert list(zip(aux.owner, aux.copy)) == layout
+    for v in g.vertices():
+        for c in (1, 2):
+            assert layout[aux.p(v, c)] == (v, 0 if v in x else c)
+    split_count = g.vertex_count - len(x)
+    for e, (u, sign_u, v, sign_v) in enumerate(ends):
+        assert aux.lifted(e) == split_count + e
+        a, b = aux.graph.endpoints[aux.lifted(e)]
+        assert aux.aux_vertices[a] == AuxVertex(u, 0 if u in x else (1 if sign_u is MINUS else 2))
+        assert aux.aux_vertices[b] == AuxVertex(v, 0 if v in x else (1 if sign_v is MINUS else 2))

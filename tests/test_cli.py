@@ -1,11 +1,13 @@
 """End-to-end command tests through main(), checking output and exit codes."""
 
+import hashlib
 import random
 
 import pytest
 
 from bidipath.bgf import format_instance
 from bidipath.cli import main
+from bidipath.generate import generate_instance
 from helpers import sign_broken_chain
 
 K5_BGF = (
@@ -199,6 +201,56 @@ def test_verify_multiple_files_with_jobs(tmp_path, capsys):
     assert sum(1 for line in report.splitlines() if ": ok (" in line) == 3
 
 
+def _record_pool_sizes(monkeypatch) -> list[int]:
+    """Replace the process pool by an in-process one that records its size."""
+    sizes: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_verify_starts_no_more_workers_than_instances(k5_file, capsys, monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch)
+    assert main(["verify", k5_file, k5_file, "--jobs", "8"]) == 0
+    assert main(["verify", k5_file, "--jobs", "8"]) == 0
+    assert sizes == [2]  # one instance needs no pool
+    assert capsys.readouterr().out.count(": ok (") == 3
+
+
+def test_verify_rejects_jobs_below_one(k5_file, capsys, monkeypatch):
+    sizes = _record_pool_sizes(monkeypatch)
+    assert main(["verify", k5_file, k5_file, "--jobs", "0"]) == 1
+    assert sizes == []
+    assert capsys.readouterr().err == "bidipath: --jobs must be at least 1\n"
+
+
+def test_non_utf8_instance_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    import io
+
+    path = tmp_path / "latin1.bgf"
+    path.write_bytes(b"v a\nv b\xff\n")
+    assert main(["solve", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "bidipath: line 2, column 4: not UTF-8 text: byte 0xff\n"
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"v a\xff\n"), "utf-8"))
+    assert main(["solve", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err == "bidipath: line 1, column 4: not UTF-8 text: byte 0xff\n"
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.bgf"
     path.write_text("e a - b +\n")
@@ -258,3 +310,35 @@ def test_a_certificate_that_fails_its_check_exits_3_with_the_reason(k5_file, cap
     assert captured.err == (
         "bidipath: internal assertion failed: certificate check failed: value-mismatch\n"
     )
+
+
+# sha256 of the exit codes and `--format machine` stdout of `solve` and
+# `hitting-set` below, as first recorded; a faster parse or build must
+# reproduce the rendered bytes, not just the library objects.
+RECORDED_CLI_DIGEST = "1bb63d008a258b42172243f528be9d26516f473f2293f64b969c853246bcd53f"
+CLI_DIGEST_FAMILIES = (
+    None,  # uniform
+    {"--": 0, "-+": 1, "+-": 0, "++": 0},  # directed
+    {"--": 1, "-+": 0, "+-": 0, "++": 1},  # split
+    {"--": 3, "-+": 1, "+-": 1, "++": 1},  # minus-heavy
+    {"--": 1, "-+": 0, "+-": 0, "++": 0},  # all-minus
+)
+
+
+def test_cli_output_matches_the_recorded_digest(tmp_path, capsys):
+    instances = [
+        generate_instance(60, 150, 0.2, family, seed)
+        for family in CLI_DIGEST_FAMILIES
+        for seed in range(3)
+    ]
+    instances.append(sign_broken_chain(random.Random(7), 40))
+    digest = hashlib.sha256()
+    for i, instance in enumerate(instances):
+        path = tmp_path / f"i{i}.bgf"
+        path.write_text(format_instance(instance))
+        for argv in (["solve"], ["hitting-set", "-k", "1"], ["hitting-set", "-k", "4"],
+                     ["hitting-set", "-k", "9"]):
+            code = main([argv[0], str(path), *argv[1:], "--format", "machine"])
+            digest.update(f"{argv} {code}\n".encode())
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == RECORDED_CLI_DIGEST

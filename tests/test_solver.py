@@ -141,7 +141,7 @@ def test_walk_that_dead_ends_at_an_exposed_copy_is_dropped():
     g.add_edge(a, MINUS, v, MINUS)
     g.add_edge(b, MINUS, c, PLUS)
     aux, matcher, packing = _walk(
-        g, {a, b, c}, lambda aux: {aux.lifted_edges[0], aux.lifted_edges[1]}
+        g, {a, b, c}, lambda aux: {aux.lifted(0), aux.lifted(1)}
     )
     assert matcher.match[aux.p(v, 2)] == -1
     assert packing == PackingResult(1, (SignedPath((b, c), (1,)),))
@@ -155,7 +155,7 @@ def test_walk_never_enters_an_alternating_cycle_without_x():
     g.add_edge(u, MINUS, v, MINUS)
     g.add_edge(u, PLUS, v, PLUS)
     g.add_edge(a, MINUS, b, MINUS)
-    aux, matcher, packing = _walk(g, {a, b}, lambda aux: set(aux.lifted_edges.values()))
+    aux, matcher, packing = _walk(g, {a, b}, lambda aux: set(map(aux.lifted, range(g.edge_count))))
     assert matcher.match[aux.p(u, 1)] == aux.p(v, 1)
     assert matcher.match[aux.p(u, 2)] == aux.p(v, 2)
     assert packing == PackingResult(1, (SignedPath((a, b), (2,)),))
