@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .core import MINUS, PLUS, BidirectedMultigraph, VertexId
+from .core import MINUS, PLUS, BidirectedMultigraph, Sign, VertexId
 from .errors import DuplicateVertex, LoopRejected, ParseError, UnknownVertex
 
 _NAME = re.compile(r"[A-Za-z0-9_]+\Z")
@@ -56,14 +56,20 @@ def _column(raw: str, index: int) -> int:
 
 
 def parse_instance(text: str) -> Instance:
-    """Parse BGF text; diagnostics carry 1-based line and column."""
-    graph = BidirectedMultigraph()
+    """Parse BGF text; diagnostics carry 1-based line and column.
+
+    Vertex ids follow declaration order. The edges are collected as four
+    parallel lists and written to the graph in one `add_edges` call.
+    """
     names: list[str] = []
     ids: dict[str, VertexId] = {}
     x: set[VertexId] = set()
-    add_edge = graph.add_edge
+    us: list[VertexId] = []
+    sus: list[Sign] = []
+    vs: list[VertexId] = []
+    svs: list[Sign] = []
 
-    # Both read the line being parsed: number, raw and tokens.
+    # These read the line being parsed: number, raw and tokens.
     def fail(index: int, message: str):
         raise ParseError(message, number, _column(raw, index))
 
@@ -75,14 +81,37 @@ def parse_instance(text: str) -> Instance:
             )
         return ids[name]
 
+    def sign(index: int) -> Sign:
+        if tokens[index] not in _SIGNS:
+            fail(index, f"expected '-' or '+', got {tokens[index]!r}")
+        return _SIGNS[tokens[index]]
+
     for number, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+        if not tokens:
             continue
         directive = tokens[0]
-        args = len(tokens) - 1
-        if directive == "v":
-            if args != 1:
+        if directive == "e":
+            if len(tokens) != 5:
+                fail(1, "expected: e U SIGN_U V SIGN_V")
+            try:
+                u = ids[tokens[1]]
+                v = ids[tokens[3]]
+                sign_u = _SIGNS[tokens[2]]
+                sign_v = _SIGNS[tokens[4]]
+            except KeyError:
+                # Report the first bad token in the order U, V, SIGN_U, SIGN_V.
+                u, v, sign_u, sign_v = lookup(1), lookup(3), sign(2), sign(4)
+            if u == v:
+                raise LoopRejected(
+                    f"line {number}: loop at vertex {tokens[1]!r}"
+                )
+            us.append(u)
+            sus.append(sign_u)
+            vs.append(v)
+            svs.append(sign_v)
+        elif directive == "v":
+            if len(tokens) != 2:
                 fail(1, "expected: v NAME")
             name = tokens[1]
             if not _NAME.match(name):
@@ -91,31 +120,18 @@ def parse_instance(text: str) -> Instance:
                 raise DuplicateVertex(
                     f"line {number}: vertex {name!r} declared twice"
                 )
-            ids[name] = graph.add_vertex()
+            ids[name] = len(names)
             names.append(name)
-        elif directive == "e":
-            if args != 4:
-                fail(1, "expected: e U SIGN_U V SIGN_V")
-            u = lookup(1)
-            v = lookup(3)
-            sign_u = _SIGNS.get(tokens[2])
-            if sign_u is None:
-                fail(2, f"expected '-' or '+', got {tokens[2]!r}")
-            sign_v = _SIGNS.get(tokens[4])
-            if sign_v is None:
-                fail(4, f"expected '-' or '+', got {tokens[4]!r}")
-            if u == v:
-                raise LoopRejected(
-                    f"line {number}: loop at vertex {tokens[1]!r}"
-                )
-            add_edge(u, sign_u, v, sign_v)
         elif directive == "x":
-            if args < 1:
+            if len(tokens) < 2:
                 fail(1, "expected: x NAME [NAME ...]")
             for index in range(1, len(tokens)):
                 x.add(lookup(index))
-        else:
+        elif not directive.startswith("#"):
             fail(0, f"unknown directive {directive!r}")
+    graph = BidirectedMultigraph()
+    graph.add_vertices(len(names))
+    graph.add_edges(us, sus, vs, svs)
     return Instance(graph.freeze(), frozenset(x), tuple(names))
 
 

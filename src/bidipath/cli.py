@@ -45,7 +45,11 @@ class _Parser(argparse.ArgumentParser):
 def _read_text(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            if not hasattr(sys.stdin, "buffer"):  # an in-memory text stream
+                return sys.stdin.read()
+            # Decode the bytes here: the stream's own error handler may be
+            # surrogateescape, which would let bytes that are not UTF-8 in.
+            return sys.stdin.buffer.read().decode("utf-8")
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         # read() decodes the whole input at once, so exc.object is all of it.

@@ -9,6 +9,7 @@ vertex set X exactly in its two endpoints.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -79,51 +80,80 @@ class BidirectedMultigraph:
     frozen graphs are safe to share between threads. Parallel edges are kept
     as distinct edges (even with identical sign pairs); loops are rejected.
 
-    Edges are stored as four parallel lists indexed by edge id (the two
-    endpoints and their signs) plus one incidence list per vertex. `edge(e)`
-    builds an `Edge` view on each call; `edge_ends()` is the bulk read.
+    Edges are stored as four parallel lists indexed by edge id: the two
+    endpoints and their signs. `add_edges` is the one writer and appends a
+    whole batch; `add_edge` is a batch of one. No incidence lists are kept
+    while the graph grows: `incident_edges` builds them from the edge lists
+    on first use after a change. `edge(e)` builds an `Edge` view on each
+    call; `edge_ends()` is the bulk read.
     """
 
     def __init__(self) -> None:
+        self._n = 0
         self._u: list[VertexId] = []
         self._sign_u: list[Sign] = []
         self._v: list[VertexId] = []
         self._sign_v: list[Sign] = []
-        self._incidence: list[list[EdgeId]] = []
+        # (vertex count, edge count, incidence lists) as last built.
+        self._incidence: tuple[int, int, list[list[EdgeId]]] = (0, 0, [])
         self._frozen = False
 
     # -- construction ------------------------------------------------------
 
     def add_vertex(self) -> VertexId:
         """Append a fresh vertex and return its id."""
-        if self._frozen:
-            raise GraphFrozen("cannot add a vertex to a frozen graph")
-        self._incidence.append([])
-        return len(self._incidence) - 1
+        return self.add_vertices(1)[0]
 
     def add_vertices(self, count: int) -> list[VertexId]:
-        return [self.add_vertex() for _ in range(count)]
+        """Append `count` fresh vertices and return their ids."""
+        if count <= 0:
+            return []
+        if self._frozen:
+            raise GraphFrozen("cannot add a vertex to a frozen graph")
+        first = self._n
+        self._n += count
+        return list(range(first, self._n))
+
+    def add_edges(
+        self,
+        us: Sequence[VertexId],
+        sus: Sequence[Sign],
+        vs: Sequence[VertexId],
+        svs: Sequence[Sign],
+    ) -> range:
+        """Append the edges (us[i], sus[i], vs[i], svs[i]) and return their ids.
+
+        All or nothing: if any edge is a loop or names a vertex that does not
+        exist, the graph is left unchanged and the first such edge raises
+        what `add_edge` would raise for it.
+        """
+        if self._frozen:
+            raise GraphFrozen("cannot add an edge to a frozen graph")
+        count = len(us)
+        if not len(sus) == len(vs) == len(svs) == count:
+            raise ValueError("add_edges needs four lists of equal length")
+        if count and (
+            min(min(us), min(vs)) < 0
+            or max(max(us), max(vs)) >= self._n
+            or any(map(operator.eq, us, vs))
+        ):
+            n = self._n
+            for u, v in zip(us, vs):
+                if u == v:
+                    raise LoopRejected(f"loop at vertex {u}")
+                for w in (u, v):
+                    if not 0 <= w < n:
+                        raise UnknownVertex(f"vertex {w} does not exist")
+        first = len(self._u)
+        self._u += us
+        self._sign_u += sus
+        self._v += vs
+        self._sign_v += svs
+        return range(first, first + count)
 
     def add_edge(self, u: VertexId, sign_u: Sign, v: VertexId, sign_v: Sign) -> EdgeId:
         """Append an edge with the given end-signs and return its id."""
-        if self._frozen:
-            raise GraphFrozen("cannot add an edge to a frozen graph")
-        if u == v:
-            raise LoopRejected(f"loop at vertex {u}")
-        incidence = self._incidence
-        n = len(incidence)
-        if not 0 <= u < n:
-            raise UnknownVertex(f"vertex {u} does not exist")
-        if not 0 <= v < n:
-            raise UnknownVertex(f"vertex {v} does not exist")
-        eid = len(self._u)
-        self._u.append(u)
-        self._sign_u.append(sign_u)
-        self._v.append(v)
-        self._sign_v.append(sign_v)
-        incidence[u].append(eid)
-        incidence[v].append(eid)
-        return eid
+        return self.add_edges((u,), (sign_u,), (v,), (sign_v,))[0]
 
     def freeze(self) -> "BidirectedMultigraph":
         self._frozen = True
@@ -133,7 +163,7 @@ class BidirectedMultigraph:
 
     @property
     def vertex_count(self) -> int:
-        return len(self._incidence)
+        return self._n
 
     @property
     def edge_count(self) -> int:
@@ -161,7 +191,17 @@ class BidirectedMultigraph:
         """Edge ids incident to v, in insertion (= id) order."""
         if not self.has_vertex(v):
             raise UnknownVertex(f"vertex {v} does not exist")
-        return tuple(self._incidence[v])
+        # Rebuilt after any change and published in one assignment, so
+        # threads reading a frozen graph at worst build it twice.
+        n, m, incidence = self._incidence
+        if (n, m) != (self._n, len(self._u)):
+            n, m = self._n, len(self._u)
+            incidence = [[] for _ in range(n)]
+            for e, (a, b) in enumerate(zip(self._u, self._v)):
+                incidence[a].append(e)
+                incidence[b].append(e)
+            self._incidence = (n, m, incidence)
+        return tuple(incidence[v])
 
     def sign(self, v: VertexId, e: EdgeId) -> Sign:
         """The sign of half-edge (v, e)."""
@@ -275,20 +315,20 @@ def weak_components(h: Multigraph) -> list[list[int]]:
     Isolated vertices form singleton components.
     """
     parent = list(range(h.vertex_count))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    # Union-find with path halving, inlined: no function call per endpoint.
     for u, v in h.endpoints:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
     groups: dict[int, list[int]] = {}
     for v in range(h.vertex_count):
-        groups.setdefault(find(v), []).append(v)
+        root = v
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        groups.setdefault(root, []).append(v)
     return sorted(groups.values(), key=lambda c: c[0])
 
 
@@ -370,14 +410,17 @@ def delete_vertices(
 ) -> tuple[BidirectedMultigraph, dict[VertexId, VertexId]]:
     """The submultigraph g - Y, plus the old-id -> new-id map for survivors."""
     dropped = g.check_vertex_set(ys)
+    survivors = [v for v in g.vertices() if v not in dropped]
+    remap = {v: i for i, v in enumerate(survivors)}
+    kept = [
+        (remap[u], sign_u, remap[v], sign_v)
+        for u, sign_u, v, sign_v in g.edge_ends()
+        if u in remap and v in remap
+    ]
     out = BidirectedMultigraph()
-    remap: dict[VertexId, VertexId] = {}
-    for v in g.vertices():
-        if v not in dropped:
-            remap[v] = out.add_vertex()
-    for u, sign_u, v, sign_v in g.edge_ends():
-        if u in remap and v in remap:
-            out.add_edge(remap[u], sign_u, remap[v], sign_v)
+    out.add_vertices(len(survivors))
+    if kept:
+        out.add_edges(*zip(*kept))
     return out, remap
 
 
@@ -387,8 +430,9 @@ def from_digraph(
     """Encode a loop-free directed multigraph: each arc u->v gets sign - at u, + at v."""
     g = BidirectedMultigraph()
     g.add_vertices(vertex_count)
-    for u, v in arcs:
-        g.add_edge(u, MINUS, v, PLUS)
+    us = [u for u, _ in arcs]
+    vs = [v for _, v in arcs]
+    g.add_edges(us, [MINUS] * len(us), vs, [PLUS] * len(vs))
     return g
 
 
@@ -400,7 +444,7 @@ def from_undirected(h: Multigraph) -> BidirectedMultigraph:
     """
     g = BidirectedMultigraph()
     g.add_vertices(h.vertex_count)
-    for u, v in h.endpoints:
-        g.add_edge(u, MINUS, v, PLUS)
-        g.add_edge(u, PLUS, v, MINUS)
+    us = [u for u, _ in h.endpoints for _ in (0, 1)]
+    vs = [v for _, v in h.endpoints for _ in (0, 1)]
+    g.add_edges(us, [MINUS, PLUS] * h.edge_count, vs, [PLUS, MINUS] * h.edge_count)
     return g

@@ -63,13 +63,19 @@ def generate_instance(
     graph = BidirectedMultigraph()
     graph.add_vertices(n)
     pair_weights = [weights[p] for p in SIGN_PAIRS]
+    sign_pairs = [(Sign(p[0]), Sign(p[1])) for p in SIGN_PAIRS]
+    us, sus, vs, svs = [], [], [], []
     for _ in range(m):
         u = rng.randrange(n)
         v = rng.randrange(n - 1)
         if v >= u:
             v += 1
-        pair = rng.choices(SIGN_PAIRS, weights=pair_weights)[0]
-        graph.add_edge(u, Sign.parse(pair[0]), v, Sign.parse(pair[1]))
+        sign_u, sign_v = rng.choices(sign_pairs, weights=pair_weights)[0]
+        us.append(u)
+        sus.append(sign_u)
+        vs.append(v)
+        svs.append(sign_v)
+    graph.add_edges(us, sus, vs, svs)
     x_size = math.ceil(x_frac * n)
     x = frozenset(rng.sample(range(n), x_size))
     return Instance.from_graph(graph.freeze(), x)

@@ -76,34 +76,39 @@ class _Matcher:
     the augmenting paths, and the final forest labels are reproducible. The
     search labels (even, parent, base) are allocated once; each search
     resets only the vertices it labelled.
+
+    Every table is int-indexed: `rep` maps the pair key `u * n + v` (u < v)
+    to the pair's lowest edge id, `match[v]` is v's mate (-1 if exposed) and
+    `mate_edge[v]` the edge id that matches v to it.
     """
 
     def __init__(self, h: Multigraph):
         self.h = h
-        self.n = h.vertex_count
-        rep: dict[tuple[int, int], int] = {}
-        for eid, (u, v) in enumerate(h.endpoints):
-            key = (u, v) if u < v else (v, u)
-            rep.setdefault(key, eid)
-        self.rep = rep
+        n = self.n = h.vertex_count
+        rep: dict[int, int] = {}
         # Neighbours in ascending representative-edge-id order.
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in rep:  # dict order is first-seen order, i.e. edge-id order
-            nbrs[u].append(v)
-            nbrs[v].append(u)
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for eid, (u, v) in enumerate(h.endpoints):
+            key = u * n + v if u < v else v * n + u
+            if key not in rep:
+                rep[key] = eid
+                nbrs[u].append(v)
+                nbrs[v].append(u)
+        self.rep = rep
         self.nbrs = nbrs
-        self.match = [-1] * self.n
-        self.pair_edge: dict[tuple[int, int], int] = {}
-        self.even = [False] * self.n
-        self.parent = [-1] * self.n
-        self.base = list(range(self.n))
+        self.match = [-1] * n
+        self.mate_edge = [-1] * n
+        self.even = [False] * n
+        self.parent = [-1] * n
+        self.base = list(range(n))
 
     def seed(self, edges: Iterable[int]) -> None:
+        match, mate_edge, endpoints = self.match, self.mate_edge, self.h.endpoints
         for eid in sorted(edges):
-            u, v = self.h.endpoints[eid]
-            self.match[u] = v
-            self.match[v] = u
-            self.pair_edge[(u, v) if u < v else (v, u)] = eid
+            u, v = endpoints[eid]
+            match[u] = v
+            match[v] = u
+            mate_edge[u] = mate_edge[v] = eid
 
     def _lca(self, a: int, b: int) -> int:
         match, parent, base = self.match, self.parent, self.base
@@ -205,15 +210,16 @@ class _Matcher:
                 base[v] = v
 
     def _augment(self, to: int) -> None:
-        match, parent = self.match, self.parent
+        match, mate_edge, parent, rep, n = (
+            self.match, self.mate_edge, self.parent, self.rep, self.n
+        )
         v = to
         while v != -1:
             pv = parent[v]
             next_v = match[pv]
             match[pv] = v
             match[v] = pv
-            key = (pv, v) if pv < v else (v, pv)
-            self.pair_edge[key] = self.rep[key]
+            mate_edge[pv] = mate_edge[v] = rep[pv * n + v if pv < v else v * n + pv]
             v = next_v
 
     def run(self) -> None:
@@ -222,12 +228,7 @@ class _Matcher:
                 self.search(v)
 
     def matched_edges(self) -> frozenset[int]:
-        out = set()
-        for v in range(self.n):
-            w = self.match[v]
-            if w > v:
-                out.add(self.pair_edge[(v, w)])
-        return frozenset(out)
+        return frozenset(e for e in self.mate_edge if e != -1)
 
     def gallai_edmonds(self) -> GallaiEdmonds:
         """The partition read off the current matching, which must be maximum.

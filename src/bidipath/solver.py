@@ -79,7 +79,7 @@ def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
     kept; taken in ascending order of their start, they are the paths in
     canonical orientation and order.
     """
-    match, pair_edge = matcher.match, matcher.pair_edge
+    match, mate_edge = matcher.match, matcher.mate_edge
     owner, copy, split_edges = aux.owner, aux.copy, aux.split_edges
     k = (matcher.n - match.count(-1)) // 2 - len(aux.base_matching)
     paths: list[SignedPath] = []
@@ -87,7 +87,7 @@ def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
         start = v = aux.first[x]
         vertices, edges = [v], []
         while (w := match[v]) != -1:
-            edges.append(pair_edge[(v, w) if v < w else (w, v)])
+            edges.append(mate_edge[v])
             vertices.append(w)
             if copy[w] == 0:
                 break

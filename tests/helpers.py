@@ -78,6 +78,49 @@ def sign_broken_chain(rng: random.Random, length: int) -> Instance:
     return Instance.from_graph(g.freeze(), frozenset({0, length - 1}))
 
 
+def bfs_components(h: Multigraph) -> list[list[int]]:
+    """Reference for weak_components: one breadth-first search per component."""
+    adj: list[list[int]] = [[] for _ in range(h.vertex_count)]
+    for u, v in h.endpoints:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * h.vertex_count
+    out = []
+    for start in range(h.vertex_count):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp, frontier = [start], [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        comp.append(w)
+                        nxt.append(w)
+            frontier = nxt
+        out.append(sorted(comp))
+    return out
+
+
+@st.composite
+def multigraphs(draw, max_vertices: int = 30, max_edges: int = 40) -> Multigraph:
+    """Hypothesis strategy: a small loop-free undirected multigraph."""
+    n = draw(st.integers(min_value=1, max_value=max_vertices))
+    if n == 1:
+        return Multigraph(1, ())
+    ends = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                lambda e: e[0] != e[1]
+            ),
+            max_size=max_edges,
+        )
+    )
+    return Multigraph(n, tuple(ends))
+
+
 def random_admissible_pair(rng: random.Random, n: int, x) -> tuple[set, set]:
     """A uniform-ish (S, T) with X ∩ S = X ∩ T."""
     s: set[int] = set()

@@ -99,3 +99,37 @@ def test_diagnostics_carry_line_and_column(text, error, message):
     assert str(info.value) == message
     if error is ParseError:
         assert f"line {info.value.line}, column {info.value.column}: " in message
+
+
+# The order in which an `e` line's faults are reported, recorded from the
+# per-edge parser: names first (U, then V), then signs (SIGN_U, then SIGN_V),
+# then a loop.
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        ("v a\ne zz ? a +\n", UnknownVertex, "line 2, column 3: unknown vertex 'zz'"),
+        ("v a\ne a ? zz +\n", UnknownVertex, "line 2, column 7: unknown vertex 'zz'"),
+        ("v a\nv b\ne a ? b ?\n", ParseError, "line 3, column 5: expected '-' or '+', got '?'"),
+        ("v a\ne a ? a +\n", ParseError, "line 2, column 5: expected '-' or '+', got '?'"),
+        ("v a\nv b\ne a + a -\n", LoopRejected, "line 3: loop at vertex 'a'"),
+        ("v a\nv b\ne a - b\n", ParseError, "line 3, column 3: expected: e U SIGN_U V SIGN_V"),
+        ("v a\ne a - b +\nv b\n", UnknownVertex, "line 2, column 7: unknown vertex 'b'"),
+    ],
+    ids=[
+        "unknown-u-beats-bad-sign",
+        "unknown-v-beats-bad-sign",
+        "bad-sign-u-beats-bad-sign-v",
+        "bad-sign-beats-loop",
+        "loop",
+        "four-token-edge-is-arity",
+        "vertex-declared-later-is-unknown",
+    ],
+)
+def test_edge_line_diagnostic_order(text, error, message):
+    with pytest.raises(error) as info:
+        parse_instance(text)
+    assert str(info.value) == message
+    if error is ParseError:
+        assert (info.value.line, info.value.column) == tuple(
+            int(part.split()[1]) for part in message.split(":")[0].split(", ")
+        )

@@ -1,11 +1,17 @@
 """End-to-end command tests through main(), checking output and exit codes."""
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bidipath
 from bidipath.bgf import format_instance
+from bidipath.core import BidirectedMultigraph
 from bidipath.cli import main
 from bidipath.generate import generate_instance
 from helpers import sign_broken_chain
@@ -249,6 +255,40 @@ def test_non_utf8_instance_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert main(["solve", "-"]) == 2
     err = capsys.readouterr().err
     assert err == "bidipath: line 1, column 4: not UTF-8 text: byte 0xff\n"
+
+
+def test_non_utf8_bytes_on_real_stdin_are_a_parse_error():
+    # Under the C locale the interpreter reads stdin with surrogateescape,
+    # which must not let bytes that are not UTF-8 through.
+    src = str(Path(bidipath.__file__).resolve().parent.parent)
+    env = {**os.environ, "LC_ALL": "C", "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "bidipath.cli", "solve", "-"],
+        input=b"# caf\xe9\nv a\nv b\ne a - b +\nx a b\n",
+        capture_output=True, env=env, timeout=60,
+    )
+    assert run.returncode == 2
+    assert run.stderr == b"bidipath: line 1, column 6: not UTF-8 text: byte 0xe9\n"
+    assert run.stdout == b""
+
+
+def test_parse_and_solve_never_add_edges_one_at_a_time(tmp_path, capsys, monkeypatch):
+    # The graph's edges arrive in bulk: a per-edge add_edge call on the
+    # parse, solve or hitting-set path would fail here.
+    instance = generate_instance(300, 1000, 0.2, seed=7)
+    path = tmp_path / "i.bgf"
+    path.write_text(format_instance(instance))
+
+    def refuse(*args):
+        raise AssertionError("add_edge called")
+
+    monkeypatch.setattr(BidirectedMultigraph, "add_edge", refuse)
+    assert main(["solve", str(path), "--format", "machine"]) == 0
+    k = int(machine_lines(capsys.readouterr().out)["k"][0])
+    assert main(["hitting-set", str(path), "-k", str(k + 1), "--format", "machine"]) == 0
+    out = machine_lines(capsys.readouterr().out)
+    assert out["outcome"] == ["hitting-set"]
+    assert out["audit"] == ["no-x-path"]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

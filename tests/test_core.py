@@ -25,7 +25,7 @@ from bidipath.errors import (
     SideConditionViolated,
     UnknownVertex,
 )
-from helpers import complete_all_minus, graph_and_x
+from helpers import SIGNS, bfs_components, complete_all_minus, graph_and_x, multigraphs
 
 
 def test_vertex_ids_are_sequential():
@@ -73,6 +73,104 @@ def test_frozen_graph_rejects_mutation():
     g.freeze()
     with pytest.raises(GraphFrozen):
         g.add_vertex()
+
+
+def _columns(edges):
+    """The four parallel lists add_edges takes."""
+    return tuple(map(list, zip(*edges))) if edges else ([], [], [], [])
+
+
+@st.composite
+def edge_batches(draw):
+    n = draw(st.integers(min_value=2, max_value=8))
+    edge = st.tuples(
+        st.integers(0, n - 1), st.sampled_from(SIGNS), st.integers(0, n - 1), st.sampled_from(SIGNS)
+    ).filter(lambda e: e[0] != e[2])
+    return n, draw(st.lists(edge, max_size=20))
+
+
+@given(edge_batches())
+def test_add_edges_equals_repeated_add_edge(batch):
+    n, edges = batch
+    one, bulk = BidirectedMultigraph(), BidirectedMultigraph()
+    one.add_vertices(n)
+    bulk.add_vertices(n)
+    ids = [one.add_edge(*e) for e in edges]
+    half = len(edges) // 2
+    got = list(bulk.add_edges(*_columns(edges[:half])))
+    # Reading the incidence lists between two batches must not stale them.
+    assert bulk.incident_edges(0) == tuple(
+        e for e in range(half) if 0 in (edges[e][0], edges[e][2])
+    )
+    got += bulk.add_edges(*_columns(edges[half:]))
+    assert got == ids == list(range(len(edges)))
+    assert list(bulk.edge_ends()) == list(one.edge_ends()) == edges
+    for e in ids:
+        assert bulk.edge(e) == one.edge(e)
+    for v in range(n):
+        expected = tuple(e for e, (a, _, b, _) in enumerate(edges) if v in (a, b))
+        assert bulk.incident_edges(v) == one.incident_edges(v) == expected
+
+
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ((1, MINUS, 1, PLUS), LoopRejected),
+        ((0, MINUS, 3, PLUS), UnknownVertex),
+        ((-1, PLUS, 0, MINUS), UnknownVertex),
+    ],
+    ids=["loop", "past-the-last-vertex", "negative-vertex"],
+)
+def test_a_bad_edge_anywhere_in_a_batch_leaves_the_graph_unchanged(bad, error, position):
+    g = BidirectedMultigraph()
+    g.add_vertices(3)
+    g.add_edge(0, MINUS, 1, PLUS)
+    g.incident_edges(0)
+    good = [(0, PLUS, 2, MINUS), (1, MINUS, 2, MINUS)]
+    with pytest.raises(error) as bulk:
+        g.add_edges(*_columns(good[:position] + [bad] + good[position:]))
+    single = BidirectedMultigraph()
+    single.add_vertices(3)
+    with pytest.raises(error) as one:
+        single.add_edge(*bad)
+    assert str(bulk.value) == str(one.value)
+    assert list(g.edge_ends()) == [(0, MINUS, 1, PLUS)]
+    assert [g.incident_edges(v) for v in g.vertices()] == [(0,), (0,), ()]
+
+
+def test_a_frozen_graph_rejects_every_batch():
+    g = BidirectedMultigraph()
+    g.add_vertices(2)
+    g.freeze()
+    for batch in ([(0, MINUS, 1, PLUS)], [], [(0, MINUS, 0, PLUS)]):
+        with pytest.raises(GraphFrozen):
+            g.add_edges(*_columns(batch))
+    with pytest.raises(GraphFrozen):
+        g.add_edge(0, MINUS, 1, PLUS)
+    assert g.edge_count == 0
+
+
+def test_add_edges_rejects_lists_of_unequal_length():
+    g = BidirectedMultigraph()
+    g.add_vertices(2)
+    with pytest.raises(ValueError):
+        g.add_edges([0], [MINUS], [1], [])
+    assert g.edge_count == 0
+
+
+def test_incident_edges_follow_growth():
+    g = BidirectedMultigraph()
+    a, b = g.add_vertices(2)
+    assert g.incident_edges(a) == ()
+    e0 = g.add_edge(a, MINUS, b, PLUS)
+    assert g.incident_edges(a) == (e0,)
+    c = g.add_vertex()
+    assert g.incident_edges(c) == ()
+    e1, e2 = g.add_edges([c, b], [PLUS, PLUS], [a, c], [MINUS, MINUS])
+    assert g.incident_edges(a) == (e0, e1)
+    assert g.incident_edges(b) == (e0, e2)
+    assert g.incident_edges(c) == (e1, e2)
 
 
 def test_trivial_path_is_valid():
@@ -190,6 +288,11 @@ def test_weak_components_k5_minus_star():
         (u, v) for u in range(5) for v in range(u + 1, 5) if u != 0
     )
     assert weak_components(Multigraph(5, ends)) == [[0], [1, 2, 3, 4]]
+
+
+@given(multigraphs())
+def test_weak_components_match_a_bfs_reference(h):
+    assert weak_components(h) == bfs_components(h)
 
 
 def test_dual_value_trivial_zero():
