@@ -32,9 +32,6 @@ class Instance:
     x: frozenset[VertexId]
     names: tuple[str, ...]
 
-    def name_of(self, v: VertexId) -> str:
-        return self.names[v]
-
     @classmethod
     def from_graph(
         cls,

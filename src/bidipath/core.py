@@ -33,14 +33,6 @@ class Sign(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    @classmethod
-    def parse(cls, token: str) -> "Sign":
-        if token == "+":
-            return cls.PLUS
-        if token == "-":
-            return cls.MINUS
-        raise ValueError(f"not a sign: {token!r}")
-
 
 PLUS = Sign.PLUS
 MINUS = Sign.MINUS

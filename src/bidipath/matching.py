@@ -2,9 +2,9 @@
 
 The matcher is Edmonds' blossom-shrinking search over the simple support of
 the input (parallel edges are collapsed to their lowest-id representative;
-a matching never uses two parallel edges). After the matching is maximum,
-the failed searches from the remaining exposed vertices yield the
-Gallai-Edmonds partition, whose A-set attains the Tutte-Berge minimum.
+a matching never uses two parallel edges). The searches that fail leave a
+Hungarian forest: its even vertices are the D-set of the Gallai-Edmonds
+partition, whose A-set attains the Tutte-Berge minimum.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ class _Matcher:
 
     Scanning is in ascending representative-edge-id order, so the matching,
     the augmenting paths, and the final forest labels are reproducible. The
-    search labels (even, parent, base) are allocated once; each search
-    resets only the vertices it labelled.
+    search labels (even, parent, base) are allocated once; a successful
+    search resets the vertices it labelled and a failed one keeps them.
 
     Every table is int-indexed: `rep` maps the pair key `u * n + v` (u < v)
     to the pair's lowest edge id, `match[v]` is v's mate (-1 if exposed) and
@@ -164,13 +164,16 @@ class _Matcher:
         turned.sort()
         queue.extend(turned)
 
-    def search(self, root: int, augment: bool = True) -> list[int] | None:
+    def search(self, root: int) -> None:
         """Grow an alternating tree from one exposed root.
 
-        With augment=True, flips the matching along the first augmenting path
-        found and returns None. After a failed search, returns the vertices
-        reachable from the root by even-length alternating paths. With
-        augment=False the matching must already be maximum.
+        A successful search flips the matching along the first augmenting
+        path found and clears its tree's labels. A failed tree is Hungarian:
+        no later augmenting path meets it (Edmonds 1965). It keeps its labels
+        for `gallai_edmonds`, and they make it dead to later searches, which
+        can reach only its odd vertices: a scan passes those by as already
+        labelled, and never takes one for even, since its mate is a blossom
+        base and so has no parent.
         """
         match, nbrs = self.match, self.nbrs
         even, parent, base = self.even, self.parent, self.base
@@ -178,36 +181,28 @@ class _Matcher:
         members: dict[int, list[int]] = {}
         even[root] = True
         queue = deque([root])
-        try:
-            while queue:
-                v = queue.popleft()
-                for to in nbrs[v]:
-                    if base[v] == base[to] or match[v] == to:
-                        continue
-                    mate = match[to]
-                    if to == root or (mate != -1 and parent[mate] != -1):
-                        # Even meets even: shrink the blossom around their cycle.
-                        self._shrink(v, to, members, queue)
-                    elif parent[to] == -1:
-                        parent[to] = v
-                        tree.append(to)
-                        if mate == -1:
-                            if not augment:
-                                raise InternalDualityMismatch(
-                                    "gallai-edmonds: augmenting path found while "
-                                    "probing a matching that should be maximum"
-                                )
-                            self._augment(to)
-                            return None
-                        even[mate] = True
-                        tree.append(mate)
-                        queue.append(mate)
-            return [v for v in tree if even[v]]
-        finally:
-            for v in tree:
-                even[v] = False
-                parent[v] = -1
-                base[v] = v
+        while queue:
+            v = queue.popleft()
+            for to in nbrs[v]:
+                if base[v] == base[to] or match[v] == to:
+                    continue
+                mate = match[to]
+                if to == root or (mate != -1 and parent[mate] != -1):
+                    # Even meets even: shrink the blossom around their cycle.
+                    self._shrink(v, to, members, queue)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    tree.append(to)
+                    if mate == -1:
+                        self._augment(to)
+                        for u in tree:
+                            even[u] = False
+                            parent[u] = -1
+                            base[u] = u
+                        return
+                    even[mate] = True
+                    tree.append(mate)
+                    queue.append(mate)
 
     def _augment(self, to: int) -> None:
         match, mate_edge, parent, rep, n = (
@@ -231,22 +226,35 @@ class _Matcher:
         return frozenset(e for e in self.mate_edge if e != -1)
 
     def gallai_edmonds(self) -> GallaiEdmonds:
-        """The partition read off the current matching, which must be maximum.
+        """The partition read off the failed trees that `run` left labelled.
 
-        D is the union of the even sets of the failed searches from the
-        exposed vertices; it is the same for every maximum matching.
+        D is their even vertices and A = N(D) - D. The same pass checks that
+        the forest is Hungarian, which for trees grown by `search` certifies
+        that the matching is maximum: each exposed vertex is in D, each
+        vertex of A is odd, and each D-D edge lies inside one blossom.
         """
-        missed: set[int] = set()
-        for root in range(self.n):
-            if self.match[root] == -1:
-                missed.update(self.search(root, augment=False))
-        boundary = set()
-        for v in missed:
-            boundary.update(self.nbrs[v])
-        a = frozenset(boundary - missed)
-        d = frozenset(missed)
+        match, nbrs = self.match, self.nbrs
+        even, parent, base = self.even, self.parent, self.base
+
+        def broken(why: str) -> InternalDualityMismatch:
+            return InternalDualityMismatch(f"gallai-edmonds: {why}")
+
+        d, a = set(), set()
+        for v in range(self.n):
+            if not even[v]:
+                if match[v] == -1:
+                    raise broken(f"exposed vertex {v} is not in D")
+                continue
+            d.add(v)
+            for to in nbrs[v]:
+                if not even[to]:
+                    if parent[to] == -1:
+                        raise broken(f"vertex {to} of A has no odd label")
+                    a.add(to)
+                elif base[to] != base[v]:
+                    raise broken(f"D-D edge {v}-{to} joins two blossoms")
         c = frozenset(range(self.n)) - d - a
-        return GallaiEdmonds(d, a, c)
+        return GallaiEdmonds(frozenset(d), frozenset(a), c)
 
 
 def grow_matching(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:

@@ -8,13 +8,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import bidipath
-from bidipath.bgf import format_instance
-from bidipath.core import BidirectedMultigraph
-from bidipath.cli import main
+from bidipath.bgf import Instance, format_instance
+from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
+from bidipath.cli import _audit_clear, main
 from bidipath.generate import generate_instance
-from helpers import sign_broken_chain
+from bidipath.oracle import has_x_path
+from bidipath.solver import HittingSet, Solution, solve
+from helpers import graph_and_x, random_admissible_pair, random_instance, sign_broken_chain
 
 K5_BGF = (
     "\n".join(f"v {c}" for c in "abcde")
@@ -289,6 +293,56 @@ def test_parse_and_solve_never_add_edges_one_at_a_time(tmp_path, capsys, monkeyp
     out = machine_lines(capsys.readouterr().out)
     assert out["outcome"] == ["hitting-set"]
     assert out["audit"] == ["no-x-path"]
+
+
+@given(graph_and_x(max_vertices=7, max_edges=14), st.randoms(use_true_random=False))
+def test_audit_value_equals_the_literal_evaluation_on_g_minus_y(gx, rng):
+    # The audit evaluates (S∪Y, T∪Y) on g; it must read |Y| plus the value
+    # of (S∖Y, T∖Y) on the graph with Y deleted.
+    g, x = gx
+    s, t = random_admissible_pair(rng, g.vertex_count, x)
+    y = frozenset(v for v in g.vertices() if rng.random() < 0.3)
+    rest, remap = delete_vertices(g, y)
+
+    def kept(vs):
+        return {remap[v] for v in vs if v in remap}
+
+    literal = dual_value(rest, kept(x), kept(s), kept(t))
+    assert dual_value(g, x, s | y, t | y) == len(y) + literal
+    result = HittingSet(y, 1, frozenset(s), frozenset(t))
+    assert _audit_clear(Instance.from_graph(g, x), result) == (literal == 0)
+
+
+def test_putting_back_a_vertex_of_y_that_reopens_an_x_path_fails_the_audit():
+    failed = 0
+    for seed in range(150):
+        inst = random_instance(seed, max_n=8)
+        k = solve(inst.graph, inst.x).packing.k + 1
+        result = solve(inst.graph, inst.x, k).hitting_set
+        assert _audit_clear(inst, result)
+        for v in result.y:
+            fewer = HittingSet(result.y - {v}, k, result.s, result.t)
+            # Weak duality: a surviving X-path gives g - Y a positive value.
+            # Y ⊇ S∩T, so a vertex of S∩T left out adds 1 to that value.
+            if v in result.s & result.t or has_x_path(inst.graph, inst.x, fewer.y):
+                assert not _audit_clear(inst, fewer)
+                failed += 1
+    assert failed > 50
+
+
+def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
+    found = Solution.hitting_set.func
+
+    def one_short(self):
+        result = found(self)
+        return HittingSet(result.y - {max(result.y)}, result.k, result.s, result.t)
+
+    monkeypatch.setattr(Solution, "hitting_set", property(one_short))
+    assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert machine_lines(captured.out)["audit"] == ["failed"]
+    assert "hitting-set audit" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

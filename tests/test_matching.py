@@ -106,9 +106,7 @@ def test_witness_value_equals_matching_size(seed):
     assert w.value == len(maximum_matching(h))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_gallai_edmonds_invariants(seed):
-    h = random_multigraph(seed + 2000, max_n=8, max_m=12)
+def _assert_gallai_edmonds_invariants(h: Multigraph) -> None:
     ge = gallai_edmonds(h)
     n = h.vertex_count
     assert ge.d | ge.a | ge.c == frozenset(range(n))
@@ -156,6 +154,17 @@ def test_gallai_edmonds_invariants(seed):
     assert nu == (n - len(comps) + len(ge.a)) // 2
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_gallai_edmonds_invariants(seed):
+    _assert_gallai_edmonds_invariants(random_multigraph(seed + 2000, max_n=8, max_m=12))
+
+
+@given(graph_and_x(max_vertices=6, max_edges=12))
+def test_gallai_edmonds_invariants_on_auxiliary_graphs(gx):
+    # At most 6 split edges and 12 lifted ones: within brute_matching's reach.
+    _assert_gallai_edmonds_invariants(build_auxiliary(*gx).graph)
+
+
 def _greedy_matching(h: Multigraph, order) -> frozenset[int]:
     used: set[int] = set()
     chosen = set()
@@ -190,4 +199,23 @@ def test_probing_a_non_maximum_matching_names_the_stage():
     matcher = _Matcher(path_graph(4))
     matcher.seed({1})  # the middle edge alone leaves 0-1=2-3 augmenting
     with pytest.raises(InternalDualityMismatch, match="gallai-edmonds"):
+        matcher.gallai_edmonds()
+
+
+STAR = Multigraph(4, ((0, 1), (0, 2), (0, 3)))  # D = {1, 2, 3}, A = {0}
+
+
+@pytest.mark.parametrize(
+    "h, labels, v, value, condition",
+    [
+        (STAR, "even", 3, False, "exposed vertex 3 is not in D"),
+        (STAR, "parent", 0, -1, "vertex 0 of A has no odd label"),
+        (complete(3), "base", 0, 0, "D-D edge 0-1 joins two blossoms"),
+    ],
+)
+def test_a_corrupted_forest_names_the_broken_condition(h, labels, v, value, condition):
+    matcher = grow_matching(h)
+    matcher.gallai_edmonds()  # the forest as grown passes
+    getattr(matcher, labels)[v] = value
+    with pytest.raises(InternalDualityMismatch, match=f"^gallai-edmonds: {condition}$"):
         matcher.gallai_edmonds()

@@ -17,6 +17,7 @@ from bidipath import (
     certificate,
     delete_vertices,
     dual_value,
+    from_digraph,
     generate_instance,
     hitting_set,
     is_x_path,
@@ -430,6 +431,24 @@ def test_solve_self_checks_hold_on_a_10k_vertex_instance():
         assert used.isdisjoint(p.vertices)
         used.update(p.vertices)
     assert verify_certificate(g, x, solution.certificate, solution.packing.k)
+
+
+def test_a_10k_vertex_instance_with_no_x_path_is_certified():
+    # Every arc at an X-vertex leaves it, so no X-path exists, and each of
+    # the 1000 X-vertices roots a failed search: rescanning the earlier
+    # failed trees in each search would make this quadratic.
+    n = 10_000
+    rng = random.Random(1)
+    x = frozenset(rng.sample(range(n), n // 10))
+    arcs = []
+    while len(arcs) < 3 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and v not in x:
+            arcs.append((u, v))
+    g = from_digraph(n, arcs)
+    solution = solve(g, x)
+    assert solution.packing.k == 0
+    assert verify_certificate(g, x, solution.certificate, 0)
 
 
 def test_a_10k_vertex_sign_consistent_chain_has_one_x_path():
