@@ -4,47 +4,16 @@ Every vertex v outside X is split into two copies (v, 1) and (v, 2) joined by
 a split edge; every signed edge of the host is rerouted to copy 1 at an end
 with sign - and to copy 2 at an end with sign +. The split edges form the
 base matching; X-paths of the host correspond exactly to the base-alternating
-X-paths here, and that bijection is implemented by lift_path / project_path.
+X-paths here, and project_path maps such a path back to the host.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import (
-    MINUS,
-    BidirectedMultigraph,
-    EdgeId,
-    Multigraph,
-    SignedPath,
-    VertexId,
-    is_x_path,
-)
-from .errors import (
-    EndpointsNotInX,
-    NotAlternating,
-    NotAnXPath,
-)
-
-
-@dataclass(frozen=True, order=True)
-class AuxVertex:
-    """A vertex of the auxiliary graph: copy 0 is an original X-vertex,
-    copies 1 and 2 are the two halves of a split non-X vertex."""
-
-    vertex: VertexId
-    copy: int
-
-    @property
-    def is_original(self) -> bool:
-        return self.copy == 0
-
-
-def copy_index(sign) -> int:
-    """Copy 1 receives sign -, copy 2 receives sign +."""
-    return 1 if sign is MINUS else 2
+from .core import MINUS, BidirectedMultigraph, EdgeId, Multigraph, SignedPath, VertexId
+from .errors import EndpointsNotInX, NotAlternating
 
 
 @dataclass(frozen=True)
@@ -111,20 +80,6 @@ class AuxiliaryGraph:
         ]
         self.graph = Multigraph(len(owner), tuple(endpoints))
 
-    @functools.cached_property
-    def aux_vertices(self) -> tuple[AuxVertex, ...]:
-        """The (vertex, copy) pair of every auxiliary id, in id order."""
-        return tuple(AuxVertex(v, c) for v, c in zip(self.owner, self.copy))
-
-    def p(self, v: VertexId, i: int) -> int:
-        """The projection map: X-vertices stay themselves, others go to copy i."""
-        a = self.first[v]
-        return a if self.copy[a] == 0 else a + i - 1
-
-    def lifted(self, e: EdgeId) -> EdgeId:
-        """The auxiliary edge that host edge e is rerouted to."""
-        return len(self.split_edges) + e
-
 
 def build_auxiliary(g: BidirectedMultigraph, x: Iterable[VertexId]) -> AuxiliaryGraph:
     """Construct the split-vertex auxiliary graph for (g, X)."""
@@ -132,32 +87,8 @@ def build_auxiliary(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Auxiliary
     return AuxiliaryGraph(g, xs)
 
 
-def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> AlternatingPath:
-    """Map an X-path of the host to its base-alternating image.
-
-    At each internal vertex the path enters the copy matching the incoming
-    sign, crosses the split edge, and leaves from the other copy; the image
-    has 2l-1 edges, of which l-1 belong to the base matching.
-    """
-    if not is_x_path(aux.host, aux.x, p):
-        raise NotAnXPath("lift_path requires an X-path of the host graph")
-    verts = [aux.p(p.vertices[0], 0)]
-    edges: list[EdgeId] = []
-    for i, eid in enumerate(p.edges):
-        v = p.vertices[i + 1]
-        edges.append(aux.lifted(eid))
-        if i + 1 < len(p.vertices) - 1:
-            c_in = copy_index(aux.host.sign(v, eid))
-            verts.append(aux.p(v, c_in))
-            edges.append(aux.split_edges[v])
-            verts.append(aux.p(v, 3 - c_in))
-        else:
-            verts.append(aux.p(v, 0))
-    return AlternatingPath(tuple(verts), tuple(edges))
-
-
 def project_path(aux: AuxiliaryGraph, q: AlternatingPath) -> SignedPath:
-    """Invert lift_path: contract split-edge steps and pull edges back.
+    """The host X-path of q: contract split-edge steps and pull edges back.
 
     The input must be a genuine path of the auxiliary graph that starts and
     ends at X-vertices and strictly alternates, beginning and ending outside

@@ -304,7 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True, help="vertex count")
     p.add_argument("-m", type=int, required=True, help="edge count")
     p.add_argument("--x-frac", type=float, default=0.5, help="fraction of vertices in X")
-    p.add_argument("--sign-dist", help="weights like '--:2,-+:1' (default uniform)")
+    p.add_argument(
+        "--sign-dist",
+        help="weights like '--:2,-+:1' (default uniform); a value that starts"
+        " with '-' needs the = form, --sign-dist='--:2,-+:1'",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_generate)
 

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     GraphFrozen,
+    InvalidParameter,
     LoopRejected,
     SideConditionViolated,
     UnknownVertex,
@@ -52,14 +53,6 @@ class Edge:
 
     def other(self, w: VertexId) -> VertexId:
         return self.v if w == self.u else self.u
-
-    def sign_at(self, w: VertexId) -> Sign:
-        """Sign of this edge at endpoint w."""
-        if w == self.u:
-            return self.sign_u
-        if w == self.v:
-            return self.sign_v
-        raise UnknownVertex(f"vertex {w} is not an endpoint of this edge")
 
     def joins(self, a: VertexId, b: VertexId) -> bool:
         return {self.u, self.v} == {a, b}
@@ -115,9 +108,10 @@ class BidirectedMultigraph:
     ) -> range:
         """Append the edges (us[i], sus[i], vs[i], svs[i]) and return their ids.
 
-        All or nothing: if any edge is a loop or names a vertex that does not
-        exist, the graph is left unchanged and the first such edge raises
-        what `add_edge` would raise for it.
+        All or nothing: if any edge is a loop, names a vertex that does not
+        exist or has an end-sign that is not a `Sign`, the graph is left
+        unchanged and the first such edge raises what `add_edge` would raise
+        for it.
         """
         if self._frozen:
             raise GraphFrozen("cannot add an edge to a frozen graph")
@@ -128,14 +122,18 @@ class BidirectedMultigraph:
             min(min(us), min(vs)) < 0
             or max(max(us), max(vs)) >= self._n
             or any(map(operator.eq, us, vs))
+            or not set(map(type, sus)) | set(map(type, svs)) <= {Sign}
         ):
             n = self._n
-            for u, v in zip(us, vs):
+            for u, sign_u, v, sign_v in zip(us, sus, vs, svs):
                 if u == v:
                     raise LoopRejected(f"loop at vertex {u}")
                 for w in (u, v):
                     if not 0 <= w < n:
                         raise UnknownVertex(f"vertex {w} does not exist")
+                for sign in (sign_u, sign_v):
+                    if type(sign) is not Sign:
+                        raise InvalidParameter(f"end-sign {sign!r} is not a Sign")
         first = len(self._u)
         self._u += us
         self._sign_u += sus
@@ -235,18 +233,6 @@ class SignedPath:
     def reversed(self) -> "SignedPath":
         return SignedPath(self.vertices[::-1], self.edges[::-1])
 
-    def canonical(self) -> "SignedPath":
-        """The path or its reversal, whichever starts at the smaller endpoint.
-
-        Ties (equal endpoints cannot happen; equal is impossible for valid
-        paths of length >= 1) fall back to lexicographic comparison so that
-        canonicalization is a total, idempotent rule even on weird inputs.
-        """
-        rev = self.reversed()
-        if (self.vertices, self.edges) <= (rev.vertices, rev.edges):
-            return self
-        return rev
-
 
 def is_valid_path(g: BidirectedMultigraph, p: SignedPath) -> bool:
     """True iff p is a path of g with signs alternating at internal vertices.
@@ -292,14 +278,6 @@ class Multigraph:
     def edge_count(self) -> int:
         return len(self.endpoints)
 
-    def adjacency(self) -> list[list[tuple[int, int]]]:
-        """Per-vertex list of (edge id, other endpoint), in edge-id order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
-        for eid, (u, v) in enumerate(self.endpoints):
-            adj[u].append((eid, v))
-            adj[v].append((eid, u))
-        return adj
-
 
 def weak_components(h: Multigraph) -> list[list[int]]:
     """Connected components of h as sorted vertex lists, ordered by minimum id.
@@ -337,11 +315,8 @@ class RestrictedGraph:
     kept_edges: tuple[EdgeId, ...]
     kept_endpoints: tuple[tuple[VertexId, VertexId], ...]
 
-    def as_multigraph(self) -> Multigraph:
-        return Multigraph(self.vertex_count, self.kept_endpoints)
-
     def components(self) -> list[list[int]]:
-        return weak_components(self.as_multigraph())
+        return weak_components(Multigraph(self.vertex_count, self.kept_endpoints))
 
 
 _ANY_SIGN = (MINUS, PLUS)

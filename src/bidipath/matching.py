@@ -1,4 +1,4 @@
-"""Maximum matching in general multigraphs, with a certified dual witness.
+"""Maximum matching in general multigraphs, with its Gallai-Edmonds partition.
 
 The matcher is Edmonds' blossom-shrinking search over the simple support of
 the input (parallel edges are collapsed to their lowest-id representative;
@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Multigraph, weak_components
+from .core import Multigraph
 from .errors import InternalDualityMismatch, InvalidSeed
 
 
@@ -25,14 +25,6 @@ class GallaiEdmonds:
     d: frozenset[int]
     a: frozenset[int]
     c: frozenset[int]
-
-
-@dataclass(frozen=True)
-class TutteBergeWitness:
-    """A vertex set attaining min |U| + sum floor(|C|/2) over components of H - U."""
-
-    u: frozenset[int]
-    value: int
 
 
 def is_matching(h: Multigraph, edges: Iterable[int]) -> bool:
@@ -47,26 +39,6 @@ def is_matching(h: Multigraph, edges: Iterable[int]) -> bool:
         seen.add(u)
         seen.add(v)
     return True
-
-
-def components_without(h: Multigraph, removed: Iterable[int]) -> list[list[int]]:
-    """Components of h after deleting a vertex set, as sorted lists by min id."""
-    gone = set(removed)
-    alive = [v for v in range(h.vertex_count) if v not in gone]
-    relabel = {v: i for i, v in enumerate(alive)}
-    kept = tuple(
-        (relabel[u], relabel[v])
-        for u, v in h.endpoints
-        if u not in gone and v not in gone
-    )
-    sub = Multigraph(len(alive), kept)
-    return [[alive[i] for i in comp] for comp in weak_components(sub)]
-
-
-def tutte_berge_value(h: Multigraph, u: Iterable[int]) -> int:
-    """|U| + sum floor(|C|/2) over the components C of h - U."""
-    us = set(u)
-    return len(us) + sum(len(c) // 2 for c in components_without(h, us))
 
 
 class _Matcher:
@@ -280,11 +252,3 @@ def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
 def gallai_edmonds(h: Multigraph) -> GallaiEdmonds:
     """The canonical partition (D, A, C) of h."""
     return grow_matching(h).gallai_edmonds()
-
-
-def tutte_berge_witness(h: Multigraph) -> TutteBergeWitness:
-    """The A-set of the Gallai-Edmonds partition, which attains the minimum."""
-    decomposition = gallai_edmonds(h)
-    value = tutte_berge_value(h, decomposition.a)
-    return TutteBergeWitness(decomposition.a, value)
-

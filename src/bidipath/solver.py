@@ -3,11 +3,11 @@
 The pipeline (`solve`): build the auxiliary graph once, grow one maximum
 matching from the base matching, read the packing size off the matching
 surplus and the paths off walks of the matching from the X-vertices, and
-translate the Tutte-Berge witness read off the same matching (the A-set of
-its Gallai-Edmonds partition) into a vertex-set pair (S, T) whose dual bound
-equals the packing size. When fewer than k paths exist, a leave-one-out
-selection over the restricted graph's components yields a hitting set of
-size at most 2k-2.
+translate the A-set of the same matching's Gallai-Edmonds partition into a
+vertex-set pair (S, T) whose dual bound equals the packing size. When fewer
+than k paths exist, a leave-one-out selection over the restricted graph's
+components yields a hitting set of size at most 2k-2. `certificate(g, X)`
+is the one view that returns a single part of the answer.
 """
 
 from __future__ import annotations
@@ -189,11 +189,6 @@ def solve(
     return Solution(g, xs, k, aux, grow_matching(aux.graph, aux.base_matching))
 
 
-def max_disjoint_x_paths(g: BidirectedMultigraph, x: Iterable[VertexId]) -> PackingResult:
-    """The maximum number of pairwise disjoint X-paths, with the paths."""
-    return solve(g, x).packing
-
-
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:
     """A dual pair (S, T) attaining the packing size; see Solution.certificate."""
     return solve(g, x).certificate
@@ -220,13 +215,3 @@ def verify_certificate(
     if cert.value != claimed_k:
         return VerificationResult(False, "k-mismatch")
     return VerificationResult(True)
-
-
-def hitting_set(
-    g: BidirectedMultigraph, x: Iterable[VertexId], k: int
-) -> HittingSet | PackingResult:
-    """Either k disjoint X-paths (as the full optimal packing) or a vertex
-    set Y with |Y| <= 2k-2 meeting every X-path; see Solution.hitting_set."""
-    solution = solve(g, x, k)
-    found = solution.hitting_set
-    return solution.packing if found is None else found

@@ -6,19 +6,12 @@ import random
 
 from hypothesis import strategies as st
 
-from bidipath import (
-    MINUS,
-    PLUS,
-    AuxVertex,
-    BidirectedMultigraph,
-    Multigraph,
-    build_auxiliary,
-    restrict,
-)
+from bidipath import MINUS, PLUS, BidirectedMultigraph, Multigraph, SignedPath, is_x_path
+from bidipath.auxiliary import AlternatingPath, AuxiliaryGraph, build_auxiliary
 from bidipath.bgf import Instance
-from bidipath.errors import SideConditionViolated
+from bidipath.core import restrict
+from bidipath.errors import NotAnXPath, SideConditionViolated
 from bidipath.generate import generate_instance
-from bidipath.matching import components_without
 
 SIGNS = (MINUS, PLUS)
 
@@ -102,6 +95,60 @@ def bfs_components(h: Multigraph) -> list[list[int]]:
             frontier = nxt
         out.append(sorted(comp))
     return out
+
+
+def components_without(h: Multigraph, removed) -> list[list[int]]:
+    """Components of h after deleting a vertex set, as sorted lists by min id."""
+    gone = set(removed)
+    alive = [v for v in range(h.vertex_count) if v not in gone]
+    relabel = {v: i for i, v in enumerate(alive)}
+    kept = tuple(
+        (relabel[u], relabel[v]) for u, v in h.endpoints if u not in gone and v not in gone
+    )
+    return [[alive[i] for i in comp] for comp in bfs_components(Multigraph(len(alive), kept))]
+
+
+def tutte_berge_value(h: Multigraph, u) -> int:
+    """|U| + sum floor(|C|/2) over the components C of h - U."""
+    us = set(u)
+    return len(us) + sum(len(c) // 2 for c in components_without(h, us))
+
+
+def copy_of(aux: AuxiliaryGraph, v: int, i: int) -> int:
+    """The projection map p: an X-vertex stays itself, any other vertex goes
+    to its copy i."""
+    a = aux.first[v]
+    return a if aux.copy[a] == 0 else a + i - 1
+
+
+def lifted_edge(aux: AuxiliaryGraph, e: int) -> int:
+    """The auxiliary edge that host edge e is rerouted to."""
+    return len(aux.split_edges) + e
+
+
+def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> AlternatingPath:
+    """Map an X-path of the host to its base-alternating image; the inverse
+    of project_path.
+
+    At each internal vertex the path enters the copy matching the incoming
+    sign, crosses the split edge, and leaves from the other copy; the image
+    has 2l-1 edges, of which l-1 belong to the base matching.
+    """
+    if not is_x_path(aux.host, aux.x, p):
+        raise NotAnXPath("lift_path requires an X-path of the host graph")
+    verts = [copy_of(aux, p.vertices[0], 0)]
+    edges: list[int] = []
+    for i, eid in enumerate(p.edges):
+        v = p.vertices[i + 1]
+        edges.append(lifted_edge(aux, eid))
+        if i + 1 < len(p.vertices) - 1:
+            c_in = 1 if aux.host.sign(v, eid) is MINUS else 2
+            verts.append(copy_of(aux, v, c_in))
+            edges.append(aux.split_edges[v])
+            verts.append(copy_of(aux, v, 3 - c_in))
+        else:
+            verts.append(copy_of(aux, v, 0))
+    return AlternatingPath(tuple(verts), tuple(edges))
 
 
 @st.composite
@@ -264,8 +311,9 @@ def graph_and_x(draw, max_vertices: int = 6, max_edges: int = 10):
     return g.freeze(), x
 
 
-def gamma_image(g, x, s, t, v) -> frozenset[AuxVertex]:
-    """The auxiliary-vertex image of v under the five-case copy map."""
+def gamma_image(g, x, s, t, v) -> frozenset[tuple[int, int]]:
+    """The auxiliary-vertex image of v under the five-case copy map, as
+    (vertex, copy) pairs; copy 0 is an X-vertex."""
     xs = g.check_vertex_set(x)
     ss = g.check_vertex_set(s)
     ts = g.check_vertex_set(t)
@@ -276,12 +324,12 @@ def gamma_image(g, x, s, t, v) -> frozenset[AuxVertex]:
     if in_s and in_t:
         return frozenset()
     if in_s:
-        return frozenset({AuxVertex(v, 1)})
+        return frozenset({(v, 1)})
     if in_t:
-        return frozenset({AuxVertex(v, 2)})
+        return frozenset({(v, 2)})
     if v in xs:
-        return frozenset({AuxVertex(v, 0)})
-    return frozenset({AuxVertex(v, 1), AuxVertex(v, 2)})
+        return frozenset({(v, 0)})
+    return frozenset({(v, 1), (v, 2)})
 
 
 def verify_component_correspondence(g, x, s, t) -> bool:
@@ -294,7 +342,7 @@ def verify_component_correspondence(g, x, s, t) -> bool:
     if xs & ss != xs & ts:
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
     aux = build_auxiliary(g, xs)
-    u_aux = {aux.p(v, 1) for v in ts} | {aux.p(v, 2) for v in ss}
+    u_aux = {copy_of(aux, v, 1) for v in ts} | {copy_of(aux, v, 2) for v in ss}
     aux_families = {
         frozenset(comp) for comp in components_without(aux.graph, u_aux)
     }
@@ -308,7 +356,7 @@ def verify_component_correspondence(g, x, s, t) -> bool:
         count += 1
         image: set[int] = set()
         for v in comp:
-            image.update(aux.p(a.vertex, a.copy) for a in gamma_image(g, xs, ss, ts, v))
+            image.update(copy_of(aux, w, c) for w, c in gamma_image(g, xs, ss, ts, v))
         inside = sum(1 for v in comp if v in marked)
         if len(image) != inside + 2 * (len(comp) - inside):
             return False

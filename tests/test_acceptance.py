@@ -14,25 +14,18 @@ from contextlib import contextmanager
 import pytest
 
 from bidipath import (
-    BidirectedMultigraph,
-    PackingResult,
-    build_auxiliary,
+    Multigraph,
     certificate,
-    delete_vertices,
     from_digraph,
     from_undirected,
-    hitting_set,
     is_x_path,
-    lift_path,
-    max_disjoint_x_paths,
-    maximum_matching,
-    project_path,
-    tutte_berge_witness,
+    solve,
     verify_certificate,
-    Multigraph,
 )
-from bidipath.auxiliary import AlternatingPath
+from bidipath.auxiliary import AlternatingPath, build_auxiliary, project_path
+from bidipath.core import delete_vertices
 from bidipath.errors import InternalDualityMismatch
+from bidipath.matching import gallai_edmonds, maximum_matching
 from bidipath.oracle import (
     brute_dual_min,
     brute_matching,
@@ -45,9 +38,11 @@ from helpers import (
     complete_all_minus,
     directed_dual_min,
     gallai_min_bound,
+    lift_path,
     random_admissible_pair,
     random_instance,
     random_multigraph,
+    tutte_berge_value,
     verify_component_correspondence,
 )
 
@@ -71,7 +66,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def solved(corpus):
-    return [max_disjoint_x_paths(inst.graph, inst.x).k for inst in corpus]
+    return [solve(inst.graph, inst.x).packing.k for inst in corpus]
 
 
 def test_criterion_1_min_max_equality(corpus, solved):
@@ -103,11 +98,12 @@ def test_criterion_3_erdos_posa_bound(corpus, solved):
         for inst, k_opt in zip(corpus, solved):
             g, x = inst.graph, inst.x
             for k in range(1, k_opt + 3):
-                result = hitting_set(g, x, k)
-                if isinstance(result, PackingResult):
-                    assert result.k >= k
+                solution = solve(g, x, k)
+                result = solution.hitting_set
+                if result is None:
+                    assert solution.packing.k >= k
                     used: set[int] = set()
-                    for path in result.paths[:k]:
+                    for path in solution.packing.paths[:k]:
                         assert is_x_path(g, x, path)
                         assert not (set(path.vertices) & used)
                         used |= set(path.vertices)
@@ -124,7 +120,7 @@ def test_criterion_4_tightness_family():
             n = 2 * k - 1
             g = complete_all_minus(n)
             x = frozenset(range(n))
-            assert max_disjoint_x_paths(g, x).k == k - 1
+            assert solve(g, x).packing.k == k - 1
             # every Y with |Y| < 2k-2 leaves an X-path (vacuous for k = 1)
             for size in range(0, 2 * k - 2):
                 for y in itertools.combinations(range(n), size):
@@ -139,7 +135,7 @@ def test_criterion_5_matching_engine():
             h = random_multigraph(seed, max_n=10, max_m=14)
             matching = maximum_matching(h)
             assert len(matching) == brute_matching(h)
-            assert tutte_berge_witness(h).value == len(matching)
+            assert tutte_berge_value(h, gallai_edmonds(h).a) == len(matching)
 
 
 def test_criterion_6_component_correspondence():
@@ -153,7 +149,10 @@ def test_criterion_6_component_correspondence():
 
 def _alternating_x_paths(aux, cap: int = 400) -> list[AlternatingPath]:
     """Independent enumeration of base-alternating X-paths in the auxiliary graph."""
-    adjacency = aux.graph.adjacency()
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(aux.graph.vertex_count)]
+    for eid, (u, v) in enumerate(aux.graph.endpoints):
+        adjacency[u].append((eid, v))
+        adjacency[v].append((eid, u))
     out: list[AlternatingPath] = []
 
     def extend(verts: list[int], edges: list[int], need_base: bool) -> None:
@@ -163,7 +162,7 @@ def _alternating_x_paths(aux, cap: int = 400) -> list[AlternatingPath]:
         for eid, w in adjacency[v]:
             if (eid in aux.base_matching) != need_base or w in verts:
                 continue
-            if aux.aux_vertices[w].is_original:
+            if aux.copy[w] == 0:
                 if not need_base and w > verts[0]:
                     out.append(
                         AlternatingPath(tuple(verts + [w]), tuple(edges + [eid]))
@@ -171,8 +170,8 @@ def _alternating_x_paths(aux, cap: int = 400) -> list[AlternatingPath]:
                 continue
             extend(verts + [w], edges + [eid], not need_base)
 
-    for start, av in enumerate(aux.aux_vertices):
-        if av.is_original:
+    for start, copy in enumerate(aux.copy):
+        if copy == 0:
             extend([start], [], False)
     return out
 
@@ -223,7 +222,7 @@ def test_criterion_8_reductions():
                     arcs.append((u, v))
             xs = frozenset(rng.sample(range(n), rng.randint(0, n)))
             g = from_digraph(n, arcs)
-            k = max_disjoint_x_paths(g, xs).k
+            k = solve(g, xs).packing.k
             assert k == brute_directed_packing(n, arcs, xs)
             if n <= 5 and seed % 3 == 0:
                 # the certificate value matches the arc-filtered dual bound
@@ -241,4 +240,4 @@ def test_criterion_8_reductions():
                     edges.append((u, v))
             xs = frozenset(rng.sample(range(n), rng.randint(0, n)))
             g = from_undirected(Multigraph(n, tuple(edges)))
-            assert max_disjoint_x_paths(g, xs).k == gallai_min_bound(n, edges, xs)
+            assert solve(g, xs).packing.k == gallai_min_bound(n, edges, xs)

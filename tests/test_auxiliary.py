@@ -3,28 +3,18 @@
 import pytest
 from hypothesis import given
 
-from bidipath import (
-    MINUS,
-    PLUS,
-    AuxVertex,
-    BidirectedMultigraph,
-    Edge,
-    SignedPath,
-    build_auxiliary,
-    is_matching,
-    is_x_path,
-    lift_path,
-    project_path,
-)
-from bidipath.auxiliary import AlternatingPath
+from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath
+from bidipath.auxiliary import AlternatingPath, build_auxiliary, project_path
+from bidipath.core import Edge
 from bidipath.errors import (
     EndpointsNotInX,
     NotAlternating,
     NotAnXPath,
     UnknownVertex,
 )
+from bidipath.matching import is_matching
 from bidipath.oracle import enumerate_x_paths
-from helpers import complete_all_minus, graph_and_x
+from helpers import complete_all_minus, copy_of, graph_and_x, lift_path, lifted_edge
 
 
 def test_build_single_x_vertex():
@@ -45,9 +35,9 @@ def test_build_splits_by_sign():
     assert aux.graph.edge_count == 2
     assert len(aux.base_matching) == 1
     # sign + at v routes the lifted edge to copy 2
-    lifted = aux.lifted(e)
+    lifted = lifted_edge(aux, e)
     ends = set(aux.graph.endpoints[lifted])
-    assert ends == {aux.p(x, 1), aux.p(v, 2)}
+    assert ends == {copy_of(aux, x, 1), copy_of(aux, v, 2)}
 
 
 def test_build_identity_when_x_is_everything():
@@ -70,7 +60,7 @@ def test_build_counts_and_base_matching():
     assert is_matching(aux.graph, aux.base_matching)
     assert len(aux.base_matching) == 3
     # the lifted-edge map is a bijection onto the non-base edges
-    lifted = {aux.lifted(e) for e in range(g.edge_count)}
+    lifted = {lifted_edge(aux, e) for e in range(g.edge_count)}
     assert len(lifted) == 3
     assert lifted | aux.base_matching == set(range(6))
 
@@ -89,7 +79,7 @@ def test_lift_length_one_path():
     aux = build_auxiliary(g, {a, b})
     q = lift_path(aux, SignedPath((a, b), (e,)))
     assert q.length == 1
-    assert q.edges == (aux.lifted(e),)
+    assert q.edges == (lifted_edge(aux, e),)
 
 
 def test_lift_routes_internal_copies_by_sign():
@@ -101,10 +91,10 @@ def test_lift_routes_internal_copies_by_sign():
     q = lift_path(aux, SignedPath((x1, v, x2), (e1, e2)))
     # enter at copy 2 (sign +), cross the split edge, leave from copy 1
     assert q.vertices == (
-        aux.p(x1, 1),
-        aux.p(v, 2),
-        aux.p(v, 1),
-        aux.p(x2, 1),
+        copy_of(aux, x1, 1),
+        copy_of(aux, v, 2),
+        copy_of(aux, v, 1),
+        copy_of(aux, x2, 1),
     )
     assert q.edges[1] == aux.split_edges[v]
 
@@ -138,14 +128,14 @@ def test_project_rejects_bad_inputs():
     with pytest.raises(NotAlternating):
         # f1 joins a and b, not a and c
         wrong_join = AlternatingPath(
-            (aux2.p(a, 1), aux2.p(c, 1)), (aux2.lifted(f1),)
+            (copy_of(aux2, a, 1), copy_of(aux2, c, 1)), (lifted_edge(aux2, f1),)
         )
         project_path(aux2, wrong_join)
     with pytest.raises(NotAlternating):
         # even length cannot alternate with non-base edges at both ends
         even = AlternatingPath(
-            (aux2.p(a, 1), aux2.p(b, 1), aux2.p(c, 1)),
-            (aux2.lifted(f1), aux2.lifted(f2)),
+            (copy_of(aux2, a, 1), copy_of(aux2, b, 1), copy_of(aux2, c, 1)),
+            (lifted_edge(aux2, f1), lifted_edge(aux2, f2)),
         )
         project_path(aux2, even)
 
@@ -155,7 +145,7 @@ def test_project_single_non_base_edge():
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, PLUS)
     aux = build_auxiliary(g, {a, b})
-    q = AlternatingPath((aux.p(a, 1), aux.p(b, 1)), (aux.lifted(e),))
+    q = AlternatingPath((copy_of(aux, a, 1), copy_of(aux, b, 1)), (lifted_edge(aux, e),))
     assert project_path(aux, q) == SignedPath((a, b), (e,))
 
 
@@ -206,14 +196,13 @@ def test_flat_layout_of_host_and_auxiliary_graph(gx):
     layout = sorted(
         [(v, 0) for v in x] + [(v, c) for v in g.vertices() if v not in x for c in (1, 2)]
     )
-    assert [(a.vertex, a.copy) for a in aux.aux_vertices] == layout
     assert list(zip(aux.owner, aux.copy)) == layout
     for v in g.vertices():
         for c in (1, 2):
-            assert layout[aux.p(v, c)] == (v, 0 if v in x else c)
+            assert layout[copy_of(aux, v, c)] == (v, 0 if v in x else c)
     split_count = g.vertex_count - len(x)
     for e, (u, sign_u, v, sign_v) in enumerate(ends):
-        assert aux.lifted(e) == split_count + e
-        a, b = aux.graph.endpoints[aux.lifted(e)]
-        assert aux.aux_vertices[a] == AuxVertex(u, 0 if u in x else (1 if sign_u is MINUS else 2))
-        assert aux.aux_vertices[b] == AuxVertex(v, 0 if v in x else (1 if sign_v is MINUS else 2))
+        assert lifted_edge(aux, e) == split_count + e
+        a, b = aux.graph.endpoints[lifted_edge(aux, e)]
+        assert (aux.owner[a], aux.copy[a]) == (u, 0 if u in x else (1 if sign_u is MINUS else 2))
+        assert (aux.owner[b], aux.copy[b]) == (v, 0 if v in x else (1 if sign_v is MINUS else 2))

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bidipath
-from bidipath.bgf import Instance, format_instance
+from bidipath.bgf import Instance, format_instance, parse_instance
 from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
 from bidipath.cli import _audit_clear, main
 from bidipath.generate import generate_instance
@@ -150,6 +151,13 @@ def test_generate_edgeless(capsys):
     assert main(["generate", "-n", "3", "-m", "0", "--x-frac", "1.0"]) == 0
     out = capsys.readouterr().out
     assert not any(line.startswith("e ") for line in out.splitlines())
+
+
+def test_readme_generate_example_exits_0_and_parses_back(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    (line,) = [line for line in readme.splitlines() if line.startswith("bidipath generate ")]
+    assert main(shlex.split(line, comments=True)[1:]) == 0
+    parse_instance(capsys.readouterr().out)
 
 
 def test_generate_bad_params(capsys):

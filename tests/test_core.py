@@ -10,17 +10,15 @@ from bidipath import (
     BidirectedMultigraph,
     Multigraph,
     SignedPath,
-    delete_vertices,
     dual_value,
     from_digraph,
     from_undirected,
-    is_valid_path,
     is_x_path,
-    restrict,
-    weak_components,
 )
+from bidipath.core import delete_vertices, is_valid_path, restrict, weak_components
 from bidipath.errors import (
     GraphFrozen,
+    InvalidParameter,
     LoopRejected,
     SideConditionViolated,
     UnknownVertex,
@@ -119,8 +117,9 @@ def test_add_edges_equals_repeated_add_edge(batch):
         ((1, MINUS, 1, PLUS), LoopRejected),
         ((0, MINUS, 3, PLUS), UnknownVertex),
         ((-1, PLUS, 0, MINUS), UnknownVertex),
+        ((0, MINUS, 2, "+"), InvalidParameter),
     ],
-    ids=["loop", "past-the-last-vertex", "negative-vertex"],
+    ids=["loop", "past-the-last-vertex", "negative-vertex", "string-sign"],
 )
 def test_a_bad_edge_anywhere_in_a_batch_leaves_the_graph_unchanged(bad, error, position):
     g = BidirectedMultigraph()
@@ -148,6 +147,17 @@ def test_a_frozen_graph_rejects_every_batch():
             g.add_edges(*_columns(batch))
     with pytest.raises(GraphFrozen):
         g.add_edge(0, MINUS, 1, PLUS)
+    assert g.edge_count == 0
+
+
+def test_add_edges_rejects_end_signs_that_are_not_signs():
+    # Unchecked, the auxiliary build would read "-" as + and restrict as no
+    # sign, and solve would certify k = 0 although a-b-c is an X-path.
+    g = BidirectedMultigraph()
+    a, b, c = g.add_vertices(3)
+    for u, v in ((a, b), (b, c)):
+        with pytest.raises(InvalidParameter):
+            g.add_edge(u, "-", v, "+")
     assert g.edge_count == 0
 
 
@@ -328,8 +338,7 @@ def test_dual_value_at_least_intersection(gx, data):
 
 def test_from_digraph_single_arc():
     g = from_digraph(2, [(0, 1)])
-    e = g.edge(0)
-    assert (e.sign_at(0), e.sign_at(1)) == (MINUS, PLUS)
+    assert (g.sign(0, 0), g.sign(1, 0)) == (MINUS, PLUS)
 
 
 def test_from_digraph_empty():

@@ -4,19 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bidipath import (
-    Multigraph,
-    build_auxiliary,
+from bidipath import Multigraph
+from bidipath.auxiliary import build_auxiliary
+from bidipath.core import weak_components
+from bidipath.errors import InternalDualityMismatch, InvalidSeed
+from bidipath.matching import (
+    _Matcher,
     gallai_edmonds,
+    grow_matching,
     is_matching,
     maximum_matching,
-    tutte_berge_witness,
-    weak_components,
 )
-from bidipath.errors import InternalDualityMismatch, InvalidSeed
-from bidipath.matching import _Matcher, grow_matching, tutte_berge_value
 from bidipath.oracle import brute_matching
-from helpers import graph_and_x, random_multigraph
+from helpers import graph_and_x, random_multigraph, tutte_berge_value
 
 
 def complete(n: int) -> Multigraph:
@@ -78,32 +78,32 @@ def test_parallel_edge_immunity():
         assert len(maximum_matching(h)) == len(maximum_matching(support))
 
 
+# The Tutte-Berge witness is the A-set of the Gallai-Edmonds partition.
 def test_witness_on_perfectly_matchable_graph():
     h = path_graph(4)
-    w = tutte_berge_witness(h)
-    assert w.u == frozenset()
-    assert w.value == 2
+    u = gallai_edmonds(h).a
+    assert u == frozenset()
+    assert tutte_berge_value(h, u) == 2
 
 
 def test_witness_on_k5():
-    w = tutte_berge_witness(complete(5))
-    assert w.u == frozenset()
-    assert w.value == 2
+    h = complete(5)
+    u = gallai_edmonds(h).a
+    assert u == frozenset()
+    assert tutte_berge_value(h, u) == 2
 
 
 def test_witness_on_star():
     star = Multigraph(4, ((0, 1), (0, 2), (0, 3)))
-    w = tutte_berge_witness(star)
-    assert w.u == frozenset({0})
-    assert w.value == 1
+    u = gallai_edmonds(star).a
+    assert u == frozenset({0})
+    assert tutte_berge_value(star, u) == 1
 
 
 @pytest.mark.parametrize("seed", range(80))
 def test_witness_value_equals_matching_size(seed):
     h = random_multigraph(seed + 1000)
-    w = tutte_berge_witness(h)
-    assert w.value == tutte_berge_value(h, w.u)
-    assert w.value == len(maximum_matching(h))
+    assert tutte_berge_value(h, gallai_edmonds(h).a) == len(maximum_matching(h))
 
 
 def _assert_gallai_edmonds_invariants(h: Multigraph) -> None:

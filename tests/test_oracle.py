@@ -56,7 +56,7 @@ def test_enumerate_outputs_are_canonical_x_paths():
         inst = random_instance(seed)
         for p in enumerate_x_paths(inst.graph, inst.x, limit=500):
             assert is_x_path(inst.graph, inst.x, p)
-            assert p.canonical() == p
+            assert p.vertices[0] < p.vertices[-1]
             assert is_x_path(inst.graph, inst.x, p.reversed())
 
 

@@ -8,32 +8,29 @@ import pytest
 from bidipath import (
     MINUS,
     PLUS,
-    AuxVertex,
     BidirectedMultigraph,
     Certificate,
     PackingResult,
     SignedPath,
-    build_auxiliary,
     certificate,
-    delete_vertices,
     dual_value,
     from_digraph,
     generate_instance,
-    hitting_set,
     is_x_path,
-    max_disjoint_x_paths,
-    maximum_matching,
     solve,
-    tutte_berge_witness,
     verify_certificate,
 )
+from bidipath.auxiliary import build_auxiliary
+from bidipath.core import delete_vertices
 from bidipath.errors import InvalidK, SideConditionViolated, UnknownVertex
-from bidipath.matching import _Matcher
+from bidipath.matching import _Matcher, gallai_edmonds, maximum_matching
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
 from bidipath.solver import _packing
 from helpers import (
     complete_all_minus,
+    copy_of,
     gamma_image,
+    lifted_edge,
     random_admissible_pair,
     random_instance,
     random_multigraph,
@@ -50,14 +47,14 @@ def single_x_edge():
 
 def test_packing_empty_x():
     g = complete_all_minus(4)
-    result = max_disjoint_x_paths(g, ())
+    result = solve(g, ()).packing
     assert result.k == 0
     assert result.paths == ()
 
 
 def test_packing_k5():
     g = complete_all_minus(5)
-    result = max_disjoint_x_paths(g, range(5))
+    result = solve(g, range(5)).packing
     assert result.k == 2
     assert len(result.paths) == 2
     used = set()
@@ -69,7 +66,7 @@ def test_packing_k5():
 
 def test_packing_single_edge():
     g, x = single_x_edge()
-    result = max_disjoint_x_paths(g, x)
+    result = solve(g, x).packing
     assert result.k == 1
     assert result.paths[0].vertices == (0, 1)
 
@@ -77,13 +74,13 @@ def test_packing_single_edge():
 def test_packing_unknown_vertex():
     g = complete_all_minus(3)
     with pytest.raises(UnknownVertex):
-        max_disjoint_x_paths(g, {5})
+        solve(g, {5})
 
 
 def test_packing_paths_are_valid_and_disjoint_on_random_instances():
     for seed in range(150):
         inst = random_instance(seed)
-        result = max_disjoint_x_paths(inst.graph, inst.x)
+        result = solve(inst.graph, inst.x).packing
         used: set[int] = set()
         for p in result.paths:
             assert is_x_path(inst.graph, inst.x, p)
@@ -142,9 +139,9 @@ def test_walk_that_dead_ends_at_an_exposed_copy_is_dropped():
     g.add_edge(a, MINUS, v, MINUS)
     g.add_edge(b, MINUS, c, PLUS)
     aux, matcher, packing = _walk(
-        g, {a, b, c}, lambda aux: {aux.lifted(0), aux.lifted(1)}
+        g, {a, b, c}, lambda aux: {lifted_edge(aux, 0), lifted_edge(aux, 1)}
     )
-    assert matcher.match[aux.p(v, 2)] == -1
+    assert matcher.match[copy_of(aux, v, 2)] == -1
     assert packing == PackingResult(1, (SignedPath((b, c), (1,)),))
 
 
@@ -156,9 +153,11 @@ def test_walk_never_enters_an_alternating_cycle_without_x():
     g.add_edge(u, MINUS, v, MINUS)
     g.add_edge(u, PLUS, v, PLUS)
     g.add_edge(a, MINUS, b, MINUS)
-    aux, matcher, packing = _walk(g, {a, b}, lambda aux: set(map(aux.lifted, range(g.edge_count))))
-    assert matcher.match[aux.p(u, 1)] == aux.p(v, 1)
-    assert matcher.match[aux.p(u, 2)] == aux.p(v, 2)
+    aux, matcher, packing = _walk(
+        g, {a, b}, lambda aux: {lifted_edge(aux, e) for e in range(g.edge_count)}
+    )
+    assert matcher.match[copy_of(aux, u, 1)] == copy_of(aux, v, 1)
+    assert matcher.match[copy_of(aux, u, 2)] == copy_of(aux, v, 2)
     assert packing == PackingResult(1, (SignedPath((a, b), (2,)),))
 
 
@@ -206,12 +205,10 @@ def test_gamma_image_five_cases():
     s = {0, 1}
     t = {0, 2}
     assert gamma_image(g, x, s, t, 0) == frozenset()
-    assert gamma_image(g, x, s, t, 1) == frozenset({AuxVertex(1, 1)})
-    assert gamma_image(g, x, s, t, 2) == frozenset({AuxVertex(2, 2)})
-    assert gamma_image(g, x, s, t, 3) == frozenset({AuxVertex(3, 0)})
-    assert gamma_image(g, x, s, t, 4) == frozenset(
-        {AuxVertex(4, 1), AuxVertex(4, 2)}
-    )
+    assert gamma_image(g, x, s, t, 1) == frozenset({(1, 1)})
+    assert gamma_image(g, x, s, t, 2) == frozenset({(2, 2)})
+    assert gamma_image(g, x, s, t, 3) == frozenset({(3, 0)})
+    assert gamma_image(g, x, s, t, 4) == frozenset({(4, 1), (4, 2)})
 
 
 def test_gamma_image_side_condition():
@@ -237,41 +234,41 @@ def test_correspondence_on_random_admissible_pairs():
 
 def test_hitting_set_k5_remark_instance():
     g = complete_all_minus(5)
-    result = hitting_set(g, range(5), 3)
-    assert not isinstance(result, PackingResult)
+    result = solve(g, range(5), 3).hitting_set
     assert len(result.y) == 4
     assert not has_x_path(g, range(5), avoid=result.y)
 
 
 def test_hitting_set_returns_packing_when_enough_paths():
     g = complete_all_minus(5)
-    result = hitting_set(g, range(5), 2)
-    assert isinstance(result, PackingResult)
-    assert result.k == 2
+    solution = solve(g, range(5), 2)
+    assert solution.hitting_set is None
+    assert solution.packing.k == 2
 
 
 def test_hitting_set_empty_when_no_paths_at_k1():
     g = BidirectedMultigraph()
     g.add_vertices(3)
-    result = hitting_set(g, {0, 1}, 1)
+    result = solve(g, {0, 1}, 1).hitting_set
     assert result.y == frozenset()
 
 
 def test_hitting_set_rejects_k_zero():
     g = complete_all_minus(3)
     with pytest.raises(InvalidK):
-        hitting_set(g, range(3), 0)
+        solve(g, range(3), 0)
 
 
 def test_hitting_set_random_instances_audited_by_oracle():
     for seed in range(120):
         inst = random_instance(seed, max_n=8)
         g, x = inst.graph, inst.x
-        k_opt = max_disjoint_x_paths(g, x).k
+        k_opt = solve(g, x).packing.k
         for k in range(1, k_opt + 3):
-            result = hitting_set(g, x, k)
-            if isinstance(result, PackingResult):
-                assert result.k >= k
+            solution = solve(g, x, k)
+            result = solution.hitting_set
+            if result is None:
+                assert solution.packing.k >= k
             else:
                 assert len(result.y) <= 2 * k - 2
                 sub, remap = delete_vertices(g, result.y)
@@ -310,7 +307,7 @@ def test_weak_duality_on_small_instances():
     for seed in range(40):
         inst = random_instance(seed, max_n=5, max_m=8)
         g, x = inst.graph, inst.x
-        k = max_disjoint_x_paths(g, x).k
+        k = solve(g, x).packing.k
         rng = random.Random(seed)
         for _ in range(20):
             s, t = random_admissible_pair(rng, g.vertex_count, x)
@@ -323,7 +320,7 @@ def test_adding_an_edge_never_decreases_k():
         g, x = inst.graph, inst.x
         if g.vertex_count < 2:
             continue
-        before = max_disjoint_x_paths(g, x).k
+        before = solve(g, x).packing.k
         grown = BidirectedMultigraph()
         grown.add_vertices(g.vertex_count)
         for eid in range(g.edge_count):
@@ -335,15 +332,15 @@ def test_adding_an_edge_never_decreases_k():
         if v >= u:
             v += 1
         grown.add_edge(u, rng.choice((MINUS, PLUS)), v, rng.choice((MINUS, PLUS)))
-        assert max_disjoint_x_paths(grown, x).k >= before
+        assert solve(grown, x).packing.k >= before
 
 
 def test_enlarging_y_never_creates_an_x_path():
     for seed in range(50):
         inst = random_instance(seed, max_n=6, max_m=10)
         g, x = inst.graph, inst.x
-        result = hitting_set(g, x, 1)
-        if isinstance(result, PackingResult):
+        result = solve(g, x, 1).hitting_set
+        if result is None:
             continue
         rng = random.Random(seed)
         y = set(result.y)
@@ -367,9 +364,9 @@ def _two_pass_certificate(g, x) -> Certificate:
     """The certificate from a second auxiliary graph and a fresh, unseeded
     matching, translated as Solution.certificate does."""
     aux = build_auxiliary(g, x)
-    u = tutte_berge_witness(aux.graph).u
-    s = frozenset(v for v in g.vertices() if aux.p(v, 2) in u)
-    t = frozenset(v for v in g.vertices() if aux.p(v, 1) in u)
+    u = gallai_edmonds(aux.graph).a
+    s = frozenset(v for v in g.vertices() if copy_of(aux, v, 2) in u)
+    t = frozenset(v for v in g.vertices() if copy_of(aux, v, 1) in u)
     return Certificate(s, t, dual_value(g, x, s, t))
 
 
@@ -377,16 +374,16 @@ def test_solve_agrees_with_the_views_and_a_fresh_matching():
     for seed in range(150):
         inst = random_instance(seed, max_n=8)
         g, x = inst.graph, inst.x
-        packing = max_disjoint_x_paths(g, x)
+        packing = solve(g, x).packing
         for k in range(1, packing.k + 3):
             solution = solve(g, x, k)
             assert solution.packing == packing
             assert solution.certificate == certificate(g, x) == _two_pass_certificate(g, x)
-            found = hitting_set(g, x, k)
+            found = solution.hitting_set
             if k <= packing.k:
-                assert solution.hitting_set is None and found == packing
+                assert found is None
             else:
-                assert solution.hitting_set == found
+                assert found.k == k
                 assert (found.s, found.t) == (solution.certificate.s, solution.certificate.t)
 
 
@@ -414,7 +411,7 @@ def test_outputs_match_the_recorded_digest():
         digest.update(repr(sorted(maximum_matching(h))).encode())
     for seed in range(40):
         inst = generate_instance(40, 100, 0.3, {"--": 3, "-+": 1, "+-": 1, "++": 1}, seed)
-        packing = max_disjoint_x_paths(inst.graph, inst.x)
+        packing = solve(inst.graph, inst.x).packing
         cert = certificate(inst.graph, inst.x)
         digest.update(repr((packing, sorted(cert.s), sorted(cert.t))).encode())
     assert digest.hexdigest() == RECORDED_DIGEST
