@@ -25,10 +25,6 @@ class SideConditionViolated(BidipathError):
     """The pair (S, T) does not satisfy X ∩ S = X ∩ T."""
 
 
-class NotAnXPath(BidipathError):
-    """The supplied path is not an X-path of the host graph."""
-
-
 class NotAlternating(BidipathError):
     """The supplied auxiliary path does not alternate against the base matching."""
 

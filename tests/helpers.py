@@ -10,7 +10,7 @@ from bidipath import MINUS, PLUS, BidirectedMultigraph, Multigraph, SignedPath, 
 from bidipath.auxiliary import AlternatingPath, AuxiliaryGraph, build_auxiliary
 from bidipath.bgf import Instance
 from bidipath.core import restrict
-from bidipath.errors import NotAnXPath, SideConditionViolated
+from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
 
 SIGNS = (MINUS, PLUS)
@@ -135,7 +135,7 @@ def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> AlternatingPath:
     has 2l-1 edges, of which l-1 belong to the base matching.
     """
     if not is_x_path(aux.host, aux.x, p):
-        raise NotAnXPath("lift_path requires an X-path of the host graph")
+        raise ValueError("lift_path requires an X-path of the host graph")
     verts = [copy_of(aux, p.vertices[0], 0)]
     edges: list[int] = []
     for i, eid in enumerate(p.edges):

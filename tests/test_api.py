@@ -42,6 +42,7 @@ DELETED = {
         "TutteBergeWitness", "tutte_berge_witness", "tutte_berge_value", "components_without",
     ],
     "solver": ["max_disjoint_x_paths", "hitting_set"],
+    "errors": ["NotAnXPath"],
 }
 DELETED_MEMBERS = {
     ("auxiliary", "AuxiliaryGraph"): ["aux_vertices", "p", "lifted"],

@@ -14,6 +14,7 @@ from bidipath import (
     from_digraph,
     from_undirected,
     is_x_path,
+    solve,
 )
 from bidipath.core import delete_vertices, is_valid_path, restrict, weak_components
 from bidipath.errors import (
@@ -150,15 +151,18 @@ def test_a_frozen_graph_rejects_every_batch():
     assert g.edge_count == 0
 
 
-def test_add_edges_rejects_end_signs_that_are_not_signs():
-    # Unchecked, the auxiliary build would read "-" as + and restrict as no
-    # sign, and solve would certify k = 0 although a-b-c is an X-path.
+def test_solve_and_path_validity_agree_on_the_a_b_c_instance():
+    # Given "-" / "+" strings, add_edge raises (the string-sign batch case
+    # above); unchecked, solve certified k = 0 here while a-b-c was valid.
     g = BidirectedMultigraph()
     a, b, c = g.add_vertices(3)
-    for u, v in ((a, b), (b, c)):
-        with pytest.raises(InvalidParameter):
-            g.add_edge(u, "-", v, "+")
-    assert g.edge_count == 0
+    e1 = g.add_edge(a, MINUS, b, PLUS)
+    e2 = g.add_edge(b, MINUS, c, PLUS)
+    assert is_valid_path(g, SignedPath((a, b, c), (e1, e2)))
+    solution = solve(g, {a, c})
+    assert solution.packing.k == 1
+    assert set(solution.packing.paths[0].vertices) == {a, b, c}
+    assert solution.certificate.value == 1
 
 
 def test_add_edges_rejects_lists_of_unequal_length():

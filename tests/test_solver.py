@@ -383,6 +383,7 @@ def test_solve_agrees_with_the_views_and_a_fresh_matching():
             if k <= packing.k:
                 assert found is None
             else:
+                assert solve(g, x, k).hitting_set == found
                 assert found.k == k
                 assert (found.s, found.t) == (solution.certificate.s, solution.certificate.t)
 
