@@ -4,32 +4,14 @@ Every vertex v outside X is split into two copies (v, 1) and (v, 2) joined by
 a split edge; every signed edge of the host is rerouted to copy 1 at an end
 with sign - and to copy 2 at an end with sign +. The split edges form the
 base matching; X-paths of the host correspond exactly to the base-alternating
-X-paths here, and project_path maps such a path back to the host.
+X-paths here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import MINUS, BidirectedMultigraph, EdgeId, Multigraph, SignedPath, VertexId
-from .errors import EndpointsNotInX, NotAlternating
-
-
-@dataclass(frozen=True)
-class AlternatingPath:
-    """A path in the auxiliary graph, as parallel vertex-id/edge-id tuples."""
-
-    vertices: tuple[int, ...]
-    edges: tuple[EdgeId, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.vertices) != len(self.edges) + 1:
-            raise ValueError("a path on l edges must list l+1 vertices")
-
-    @property
-    def length(self) -> int:
-        return len(self.edges)
+from .core import MINUS, BidirectedMultigraph, EdgeId, Multigraph, VertexId
 
 
 class AuxiliaryGraph:
@@ -85,39 +67,3 @@ def build_auxiliary(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Auxiliary
     """Construct the split-vertex auxiliary graph for (g, X)."""
     xs = g.check_vertex_set(x)
     return AuxiliaryGraph(g, xs)
-
-
-def project_path(aux: AuxiliaryGraph, q: AlternatingPath) -> SignedPath:
-    """The host X-path of q: contract split-edge steps and pull edges back.
-
-    The input must be a genuine path of the auxiliary graph that starts and
-    ends at X-vertices and strictly alternates, beginning and ending outside
-    the base matching.
-    """
-    vs, es = q.vertices, q.edges
-    split_count = len(aux.split_edges)
-    for a in vs:
-        if not 0 <= a < aux.graph.vertex_count:
-            raise NotAlternating(f"unknown auxiliary vertex {a}")
-    if len(set(vs)) != len(vs):
-        raise NotAlternating("path revisits an auxiliary vertex")
-    if aux.copy[vs[0]] != 0 or aux.copy[vs[-1]] != 0:
-        raise EndpointsNotInX("both endpoints must be X-vertices")
-    if q.length < 1 or q.length % 2 == 0:
-        raise NotAlternating("a base-alternating X-path has odd length >= 1")
-    for i, eid in enumerate(es):
-        if not 0 <= eid < aux.graph.edge_count:
-            raise NotAlternating(f"unknown auxiliary edge {eid}")
-        u, v = aux.graph.endpoints[eid]
-        if {u, v} != {vs[i], vs[i + 1]}:
-            raise NotAlternating("edge does not join consecutive path vertices")
-        in_base = eid < split_count
-        if in_base != (i % 2 == 1):
-            raise NotAlternating("edges must alternate against the base matching")
-    owner = aux.owner
-    b_verts = [owner[vs[0]]]
-    b_edges = []
-    for i in range(0, len(es), 2):
-        b_edges.append(es[i] - split_count)
-        b_verts.append(owner[vs[i + 1]])
-    return SignedPath(tuple(b_verts), tuple(b_edges))

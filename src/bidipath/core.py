@@ -1,4 +1,4 @@
-"""Bidirected multigraphs: signed edges, paths, restrictions and reductions.
+"""Bidirected multigraphs: signed edges, paths, the dual bound and reductions.
 
 A bidirected multigraph carries one sign (+ or -) at each end of each edge.
 A path is valid when the two path edges meeting at any internal vertex have
@@ -53,9 +53,6 @@ class Edge:
 
     def other(self, w: VertexId) -> VertexId:
         return self.v if w == self.u else self.u
-
-    def joins(self, a: VertexId, b: VertexId) -> bool:
-        return {self.u, self.v} == {a, b}
 
 
 class BidirectedMultigraph:
@@ -226,10 +223,6 @@ class SignedPath:
     def length(self) -> int:
         return len(self.edges)
 
-    @property
-    def endpoints(self) -> tuple[VertexId, VertexId]:
-        return self.vertices[0], self.vertices[-1]
-
     def reversed(self) -> "SignedPath":
         return SignedPath(self.vertices[::-1], self.edges[::-1])
 
@@ -241,19 +234,22 @@ def is_valid_path(g: BidirectedMultigraph, p: SignedPath) -> bool:
     repeated vertices) return False rather than raising.
     """
     vs, es = p.vertices, p.edges
-    if len(set(vs)) != len(vs):
+    us, sus, ws, sws = g._u, g._sign_u, g._v, g._sign_v
+    if len(set(vs)) != len(vs) or min(vs) < 0 or max(vs) >= g._n:
         return False
-    if any(not g.has_vertex(v) for v in vs):
+    if es and (min(es) < 0 or max(es) >= len(us)):
         return False
-    if any(not g.has_edge(e) for e in es):
-        return False
-    for i, e in enumerate(es):
-        if not g.edge(e).joins(vs[i], vs[i + 1]):
+    arrived = None  # the sign at vs[i] of the edge that reached it
+    for a, e, b in zip(vs, es, vs[1:]):
+        if us[e] == a and ws[e] == b:
+            left, arrived_next = sus[e], sws[e]
+        elif ws[e] == a and us[e] == b:
+            left, arrived_next = sws[e], sus[e]
+        else:
             return False
-    for i in range(1, len(es)):
-        v = vs[i]
-        if g.sign(v, es[i - 1]) == g.sign(v, es[i]):
+        if left is arrived:
             return False
+        arrived = arrived_next
     return True
 
 
@@ -279,14 +275,17 @@ class Multigraph:
         return len(self.endpoints)
 
 
-def weak_components(h: Multigraph) -> list[list[int]]:
-    """Connected components of h as sorted vertex lists, ordered by minimum id.
+def weak_components(
+    vertex_count: int, pairs: Iterable[tuple[int, int]]
+) -> list[list[int]]:
+    """Connected components of the multigraph on range(vertex_count) with the
+    edges `pairs`, as sorted vertex lists ordered by minimum id.
 
     Isolated vertices form singleton components.
     """
-    parent = list(range(h.vertex_count))
+    parent = list(range(vertex_count))
     # Union-find with path halving, inlined: no function call per endpoint.
-    for u, v in h.endpoints:
+    for u, v in pairs:
         while parent[u] != u:
             parent[u] = u = parent[parent[u]]
         while parent[v] != v:
@@ -294,29 +293,12 @@ def weak_components(h: Multigraph) -> list[list[int]]:
         if u != v:
             parent[u] = v
     groups: dict[int, list[int]] = {}
-    for v in range(h.vertex_count):
+    for v in range(vertex_count):
         root = v
         while parent[root] != root:
             parent[root] = root = parent[parent[root]]
         groups.setdefault(root, []).append(v)
     return sorted(groups.values(), key=lambda c: c[0])
-
-
-@dataclass(frozen=True)
-class RestrictedGraph:
-    """The sign-filtered subgraph used by the dual bound.
-
-    Keeps the full vertex set of the host and exactly those edges all of
-    whose ends v satisfy: v outside S∪T, or v in S∖T with sign -, or v in
-    T∖S with sign +. Every vertex of S∩T is therefore isolated here.
-    """
-
-    vertex_count: int
-    kept_edges: tuple[EdgeId, ...]
-    kept_endpoints: tuple[tuple[VertexId, VertexId], ...]
-
-    def components(self) -> list[list[int]]:
-        return weak_components(Multigraph(self.vertex_count, self.kept_endpoints))
 
 
 _ANY_SIGN = (MINUS, PLUS)
@@ -325,12 +307,18 @@ _PLUS_ONLY = (PLUS,)
 _NO_SIGN = ()
 
 
-def restrict(
+def restricted_components(
     g: BidirectedMultigraph,
     s: Iterable[VertexId],
     t: Iterable[VertexId],
-) -> RestrictedGraph:
-    """The restricted multigraph keeping edges whose every end passes the keep rule."""
+) -> list[list[int]]:
+    """The components of the restricted graph B_{S,T}, as weak_components
+    orders them.
+
+    B_{S,T} keeps every vertex of g and exactly those edges all of whose ends
+    v satisfy: v outside S∪T, or v in S∖T with sign -, or v in T∖S with
+    sign +. Every vertex of S∩T is therefore isolated.
+    """
     ss = g.check_vertex_set(s)
     ts = g.check_vertex_set(t)
     # The signs an edge end may carry at each vertex and still be kept.
@@ -341,13 +329,12 @@ def restrict(
         allowed[v] = _PLUS_ONLY
     for v in ss & ts:
         allowed[v] = _NO_SIGN
-    kept: list[EdgeId] = []
-    ends: list[tuple[VertexId, VertexId]] = []
-    for eid, (u, sign_u, v, sign_v) in enumerate(g.edge_ends()):
-        if sign_u in allowed[u] and sign_v in allowed[v]:
-            kept.append(eid)
-            ends.append((u, v))
-    return RestrictedGraph(g.vertex_count, tuple(kept), tuple(ends))
+    kept = (
+        (u, v)
+        for u, sign_u, v, sign_v in g.edge_ends()
+        if sign_u in allowed[u] and sign_v in allowed[v]
+    )
+    return weak_components(g.vertex_count, kept)
 
 
 def dual_value(
@@ -367,7 +354,7 @@ def dual_value(
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
     marked = xs | ss | ts
     total = len(ss & ts)
-    for comp in restrict(g, ss, ts).components():
+    for comp in restricted_components(g, ss, ts):
         total += sum(1 for v in comp if v in marked) // 2
     return total
 

@@ -25,14 +25,6 @@ class SideConditionViolated(BidipathError):
     """The pair (S, T) does not satisfy X ∩ S = X ∩ T."""
 
 
-class NotAlternating(BidipathError):
-    """The supplied auxiliary path does not alternate against the base matching."""
-
-
-class EndpointsNotInX(BidipathError):
-    """The supplied auxiliary path does not start and end at X-vertices."""
-
-
 class InvalidSeed(BidipathError):
     """The supplied edge set is not a matching of the host graph."""
 
@@ -67,7 +59,8 @@ class ParseError(BidipathError):
 
 
 class InternalDualityMismatch(BidipathError):
-    """The translated dual certificate failed to match the packing size.
+    """An answer failed its own check: the packing, the translated dual
+    certificate or the hitting set.
 
     This is an internal assertion; it firing indicates a bug, never bad input.
     """

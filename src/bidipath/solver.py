@@ -2,12 +2,13 @@
 
 The pipeline (`solve`): build the auxiliary graph once, grow one maximum
 matching from the base matching, read the packing size off the matching
-surplus and the paths off walks of the matching from the X-vertices, and
-translate the A-set of the same matching's Gallai-Edmonds partition into a
-vertex-set pair (S, T) whose dual bound equals the packing size. When fewer
-than k paths exist, a leave-one-out selection over the restricted graph's
-components yields a hitting set of size at most 2k-2. `certificate(g, X)`
-is the one view that returns a single part of the answer.
+surplus and the paths off walks of the matching from the X-vertices (checked
+once on g as pairwise disjoint X-paths), and translate the A-set of the same
+matching's Gallai-Edmonds partition into a vertex-set pair (S, T) whose dual
+bound equals the packing size. When fewer than k paths exist, a
+leave-one-out selection over the restricted graph's components yields a
+hitting set of size at most 2k-2. `certificate(g, X)` is the one view that
+returns a single part of the answer.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .auxiliary import AlternatingPath, AuxiliaryGraph, build_auxiliary, project_path
+from .auxiliary import AuxiliaryGraph, build_auxiliary
 from .core import (
     BidirectedMultigraph,
     SignedPath,
     VertexId,
     dual_value,
-    restrict,
+    is_x_path,
+    restricted_components,
 )
 from .errors import InternalDualityMismatch, InvalidK, UnknownVertex
 from .matching import _Matcher, grow_matching
@@ -75,28 +77,27 @@ def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
 
     The walk from each X-vertex takes the matching edge, then the split edge
     of the copy it reached, and so on, until it reaches an X-vertex or a copy
-    the matching leaves exposed. The walks that end at a higher X-vertex are
-    kept; taken in ascending order of their start, they are the paths in
-    canonical orientation and order.
+    the matching leaves exposed. It records the owner of each copy it reaches
+    by a matching edge and the host id of that edge. The walks that end at a
+    higher X-vertex are kept; taken in ascending order of their start, they
+    are the paths in canonical orientation and order.
     """
     match, mate_edge = matcher.match, matcher.mate_edge
-    owner, copy, split_edges = aux.owner, aux.copy, aux.split_edges
+    owner, copy = aux.owner, aux.copy
+    split_count = len(aux.split_edges)
     k = (matcher.n - match.count(-1)) // 2 - len(aux.base_matching)
     paths: list[SignedPath] = []
     for x in sorted(aux.x):
-        start = v = aux.first[x]
-        vertices, edges = [v], []
+        v = aux.first[x]
+        vertices, edges = [x], []
         while (w := match[v]) != -1:
-            edges.append(mate_edge[v])
-            vertices.append(w)
+            edges.append(mate_edge[v] - split_count)
+            vertices.append(owner[w])
             if copy[w] == 0:
+                if owner[w] > x:
+                    paths.append(SignedPath(tuple(vertices), tuple(edges)))
                 break
             v = w + 1 if copy[w] == 1 else w - 1  # the other copy
-            edges.append(split_edges[owner[w]])
-            vertices.append(v)
-        if vertices[-1] > start and copy[vertices[-1]] == 0:
-            lifted = AlternatingPath(tuple(vertices), tuple(edges))
-            paths.append(project_path(aux, lifted))
     if len(paths) != k:
         raise InternalDualityMismatch(
             f"matching surplus {k} differs from the {len(paths)} X-paths walked"
@@ -104,13 +105,30 @@ def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
     return PackingResult(k, tuple(paths))
 
 
+def _check_packing(
+    g: BidirectedMultigraph, xs: frozenset[VertexId], paths: Iterable[SignedPath]
+) -> None:
+    """Raise InternalDualityMismatch unless the paths are pairwise disjoint
+    X-paths of g."""
+    seen: set[VertexId] = set()
+    for i, p in enumerate(paths):
+        if not is_x_path(g, xs, p):
+            raise InternalDualityMismatch(f"packing check failed: path {i} is not an X-path")
+        if not seen.isdisjoint(p.vertices):
+            raise InternalDualityMismatch(
+                f"packing check failed: path {i} shares a vertex with an earlier path"
+            )
+        seen.update(p.vertices)
+
+
 class Solution:
     """The answer for one instance (g, X), from one auxiliary graph and one
     maximum matching; made by `solve`.
 
-    The packing is read off the matching at once. The dual pair (S, T) is
-    read off the same matching's Gallai-Edmonds partition on first use, and
-    the hitting set, for a threshold above the packing size, from that pair.
+    The packing is read off the matching at once and checked on g as
+    pairwise disjoint X-paths. The dual pair (S, T) is read off the same
+    matching's Gallai-Edmonds partition on first use, and the hitting set,
+    for a threshold above the packing size, from that pair.
     """
 
     def __init__(
@@ -127,6 +145,7 @@ class Solution:
         self._aux = aux
         self._matcher = matcher
         self.packing = _packing(aux, matcher)
+        _check_packing(g, xs, self.packing.paths)
 
     @functools.cached_property
     def certificate(self) -> Certificate:
@@ -167,7 +186,7 @@ class Solution:
         cert = self.certificate
         marked = self.x | cert.s | cert.t
         y = set(cert.s & cert.t)
-        for comp in restrict(self.g, cert.s, cert.t).components():
+        for comp in restricted_components(self.g, cert.s, cert.t):
             members = [v for v in comp if v in marked]
             y.update(members[1:])
         if len(y) > 2 * k - 2:

@@ -7,9 +7,9 @@ import random
 from hypothesis import strategies as st
 
 from bidipath import MINUS, PLUS, BidirectedMultigraph, Multigraph, SignedPath, is_x_path
-from bidipath.auxiliary import AlternatingPath, AuxiliaryGraph, build_auxiliary
+from bidipath.auxiliary import AuxiliaryGraph, build_auxiliary
 from bidipath.bgf import Instance
-from bidipath.core import restrict
+from bidipath.core import restricted_components
 from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
 
@@ -126,9 +126,9 @@ def lifted_edge(aux: AuxiliaryGraph, e: int) -> int:
     return len(aux.split_edges) + e
 
 
-def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> AlternatingPath:
-    """Map an X-path of the host to its base-alternating image; the inverse
-    of project_path.
+def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> SignedPath:
+    """Map an X-path of the host to its base-alternating image, a path of
+    auxiliary vertex and edge ids; the inverse of project_path.
 
     At each internal vertex the path enters the copy matching the incoming
     sign, crosses the split edge, and leaves from the other copy; the image
@@ -148,7 +148,18 @@ def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> AlternatingPath:
             verts.append(copy_of(aux, v, 3 - c_in))
         else:
             verts.append(copy_of(aux, v, 0))
-    return AlternatingPath(tuple(verts), tuple(edges))
+    return SignedPath(tuple(verts), tuple(edges))
+
+
+def project_path(aux: AuxiliaryGraph, q: SignedPath) -> SignedPath:
+    """The host path of a base-alternating auxiliary X-path q: the owner of
+    its first vertex and of every vertex reached by a non-base edge, and the
+    host id of each non-base edge. The inverse of lift_path."""
+    owner, split_count = aux.owner, len(aux.split_edges)
+    return SignedPath(
+        (owner[q.vertices[0]], *(owner[a] for a in q.vertices[1::2])),
+        tuple(e - split_count for e in q.edges[::2]),
+    )
 
 
 @st.composite
@@ -350,7 +361,7 @@ def verify_component_correspondence(g, x, s, t) -> bool:
     both = ss & ts
     restricted_families: set[frozenset[int]] = set()
     count = 0
-    for comp in restrict(g, ss, ts).components():
+    for comp in restricted_components(g, ss, ts):
         if len(comp) == 1 and comp[0] in both:
             continue
         count += 1

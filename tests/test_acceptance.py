@@ -15,6 +15,7 @@ import pytest
 
 from bidipath import (
     Multigraph,
+    SignedPath,
     certificate,
     from_digraph,
     from_undirected,
@@ -22,7 +23,7 @@ from bidipath import (
     solve,
     verify_certificate,
 )
-from bidipath.auxiliary import AlternatingPath, build_auxiliary, project_path
+from bidipath.auxiliary import build_auxiliary
 from bidipath.core import delete_vertices
 from bidipath.errors import InternalDualityMismatch
 from bidipath.matching import gallai_edmonds, maximum_matching
@@ -39,6 +40,7 @@ from helpers import (
     directed_dual_min,
     gallai_min_bound,
     lift_path,
+    project_path,
     random_admissible_pair,
     random_instance,
     random_multigraph,
@@ -147,13 +149,13 @@ def test_criterion_6_component_correspondence():
             assert verify_component_correspondence(inst.graph, inst.x, s, t)
 
 
-def _alternating_x_paths(aux, cap: int = 400) -> list[AlternatingPath]:
+def _alternating_x_paths(aux, cap: int = 400) -> list[SignedPath]:
     """Independent enumeration of base-alternating X-paths in the auxiliary graph."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(aux.graph.vertex_count)]
     for eid, (u, v) in enumerate(aux.graph.endpoints):
         adjacency[u].append((eid, v))
         adjacency[v].append((eid, u))
-    out: list[AlternatingPath] = []
+    out: list[SignedPath] = []
 
     def extend(verts: list[int], edges: list[int], need_base: bool) -> None:
         if len(out) >= cap:
@@ -165,7 +167,7 @@ def _alternating_x_paths(aux, cap: int = 400) -> list[AlternatingPath]:
             if aux.copy[w] == 0:
                 if not need_base and w > verts[0]:
                     out.append(
-                        AlternatingPath(tuple(verts + [w]), tuple(edges + [eid]))
+                        SignedPath(tuple(verts + [w]), tuple(edges + [eid]))
                     )
                 continue
             extend(verts + [w], edges + [eid], not need_base)

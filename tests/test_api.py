@@ -37,19 +37,19 @@ PUBLIC = [
 # Names that test-only or duplicate code once answered to, by module, with
 # the class for a deleted method or attribute.
 DELETED = {
-    "auxiliary": ["AuxVertex", "copy_index", "lift_path"],
+    "auxiliary": ["AuxVertex", "copy_index", "lift_path", "AlternatingPath", "project_path"],
+    "core": ["RestrictedGraph", "restrict"],
     "matching": [
         "TutteBergeWitness", "tutte_berge_witness", "tutte_berge_value", "components_without",
     ],
     "solver": ["max_disjoint_x_paths", "hitting_set"],
-    "errors": ["NotAnXPath"],
+    "errors": ["NotAnXPath", "NotAlternating", "EndpointsNotInX"],
 }
 DELETED_MEMBERS = {
     ("auxiliary", "AuxiliaryGraph"): ["aux_vertices", "p", "lifted"],
-    ("core", "Edge"): ["sign_at"],
+    ("core", "Edge"): ["sign_at", "joins"],
     ("core", "Multigraph"): ["adjacency"],
-    ("core", "SignedPath"): ["canonical"],
-    ("core", "RestrictedGraph"): ["as_multigraph"],
+    ("core", "SignedPath"): ["canonical", "endpoints"],
 }
 
 

@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given
 
 from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath
-from bidipath.auxiliary import AlternatingPath, build_auxiliary, project_path
+from bidipath.auxiliary import build_auxiliary
 from bidipath.core import Edge
-from bidipath.errors import (
-    EndpointsNotInX,
-    NotAlternating,
-    UnknownVertex,
-)
+from bidipath.errors import UnknownVertex
 from bidipath.matching import is_matching
 from bidipath.oracle import enumerate_x_paths
-from helpers import complete_all_minus, copy_of, graph_and_x, lift_path, lifted_edge
+from helpers import (
+    complete_all_minus,
+    copy_of,
+    graph_and_x,
+    lift_path,
+    lifted_edge,
+    project_path,
+)
 
 
 def test_build_single_x_vertex():
@@ -109,42 +112,12 @@ def test_lift_rejects_non_x_path():
         lift_path(build_auxiliary(g, {a}), SignedPath((a, b), (e,)))
 
 
-def test_project_rejects_bad_inputs():
-    g = BidirectedMultigraph()
-    x1, v, x2 = g.add_vertices(3)
-    e1 = g.add_edge(x1, MINUS, v, PLUS)
-    e2 = g.add_edge(v, MINUS, x2, MINUS)
-    aux = build_auxiliary(g, {x1, x2})
-    q = lift_path(aux, SignedPath((x1, v, x2), (e1, e2)))
-    with pytest.raises(EndpointsNotInX):
-        project_path(aux, AlternatingPath(q.vertices[1:], q.edges[1:]))
-
-    g2 = BidirectedMultigraph()
-    a, b, c = g2.add_vertices(3)
-    f1 = g2.add_edge(a, MINUS, b, PLUS)
-    f2 = g2.add_edge(b, MINUS, c, PLUS)
-    aux2 = build_auxiliary(g2, {a, b, c})
-    with pytest.raises(NotAlternating):
-        # f1 joins a and b, not a and c
-        wrong_join = AlternatingPath(
-            (copy_of(aux2, a, 1), copy_of(aux2, c, 1)), (lifted_edge(aux2, f1),)
-        )
-        project_path(aux2, wrong_join)
-    with pytest.raises(NotAlternating):
-        # even length cannot alternate with non-base edges at both ends
-        even = AlternatingPath(
-            (copy_of(aux2, a, 1), copy_of(aux2, b, 1), copy_of(aux2, c, 1)),
-            (lifted_edge(aux2, f1), lifted_edge(aux2, f2)),
-        )
-        project_path(aux2, even)
-
-
 def test_project_single_non_base_edge():
     g = BidirectedMultigraph()
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, PLUS)
     aux = build_auxiliary(g, {a, b})
-    q = AlternatingPath((copy_of(aux, a, 1), copy_of(aux, b, 1)), (lifted_edge(aux, e),))
+    q = SignedPath((copy_of(aux, a, 1), copy_of(aux, b, 1)), (lifted_edge(aux, e),))
     assert project_path(aux, q) == SignedPath((a, b), (e,))
 
 

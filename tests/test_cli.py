@@ -18,7 +18,7 @@ from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
 from bidipath.cli import _audit_clear, main
 from bidipath.generate import generate_instance
 from bidipath.oracle import has_x_path
-from bidipath.solver import HittingSet, Solution, solve
+from bidipath.solver import HittingSet, PackingResult, Solution, solve
 from helpers import graph_and_x, random_admissible_pair, random_instance, sign_broken_chain
 
 K5_BGF = (
@@ -411,6 +411,19 @@ def test_a_certificate_that_fails_its_check_exits_3_with_the_reason(k5_file, cap
     assert captured.out == ""
     assert captured.err == (
         "bidipath: internal assertion failed: certificate check failed: value-mismatch\n"
+    )
+
+
+def test_a_packing_that_fails_its_check_exits_3(k5_file, capsys, monkeypatch):
+    # a-b and b-c (edges 0 and 4) are X-paths of K5, but they share b.
+    shared = (bidipath.SignedPath((0, 1), (0,)), bidipath.SignedPath((1, 2), (4,)))
+    monkeypatch.setattr("bidipath.solver._packing", lambda aux, matcher: PackingResult(2, shared))
+    assert main(["solve", k5_file, "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "bidipath: internal assertion failed: packing check failed:"
+        " path 1 shares a vertex with an earlier path\n"
     )
 
 

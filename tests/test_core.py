@@ -1,4 +1,4 @@
-"""Data model, path validity, restriction, dual bound, and reductions."""
+"""Data model, path validity, restricted components, dual bound, and reductions."""
 
 import pytest
 from hypothesis import given
@@ -16,7 +16,12 @@ from bidipath import (
     is_x_path,
     solve,
 )
-from bidipath.core import delete_vertices, is_valid_path, restrict, weak_components
+from bidipath.core import (
+    delete_vertices,
+    is_valid_path,
+    restricted_components,
+    weak_components,
+)
 from bidipath.errors import (
     GraphFrozen,
     InvalidParameter,
@@ -217,6 +222,10 @@ def test_malformed_sequences_return_false():
     assert not is_valid_path(g, SignedPath((a, c), (e,)))  # edge joins a,b not a,c
     assert not is_valid_path(g, SignedPath((a, 9), (e,)))
     assert not is_valid_path(g, SignedPath((a, b, a), (e, e)))
+    # Negative and out-of-range ids do not wrap around the edge lists.
+    assert not is_valid_path(g, SignedPath((-1, b), (e,)))
+    assert not is_valid_path(g, SignedPath((a, b), (-1,)))
+    assert not is_valid_path(g, SignedPath((a, b), (1,)))
 
 
 def test_x_path_requires_nontrivial_and_interior_outside_x():
@@ -250,30 +259,56 @@ def test_reversal_preserves_validity(gx):
             assert is_valid_path(g, q) == is_valid_path(g, q.reversed())
 
 
+def _kept(sign_u, sign_v, s, t) -> bool:
+    """Whether the restricted graph of the two-vertex graph 0 -- 1 keeps its
+    one edge, with the given end-signs at 0 and 1."""
+    g = BidirectedMultigraph()
+    u, v = g.add_vertices(2)
+    g.add_edge(u, sign_u, v, sign_v)
+    comps = restricted_components(g, s, t)
+    assert comps in ([[0, 1]], [[0], [1]])
+    return comps == [[0, 1]]
+
+
 def test_restrict_empty_sets_keep_all_edges():
-    g = complete_all_minus(4)
-    r = restrict(g, (), ())
-    assert r.kept_edges == tuple(range(g.edge_count))
+    for sign_u in SIGNS:
+        for sign_v in SIGNS:
+            assert _kept(sign_u, sign_v, (), ())
+    assert restricted_components(complete_all_minus(4), (), ()) == [[0, 1, 2, 3]]
 
 
 def test_restrict_full_sets_drop_all_edges():
+    for sign_u in SIGNS:
+        for sign_v in SIGNS:
+            assert not _kept(sign_u, sign_v, {0, 1}, {0, 1})
     g = complete_all_minus(4)
-    r = restrict(g, range(4), range(4))
-    assert r.kept_edges == ()
-    assert len(r.components()) == 4
+    assert restricted_components(g, range(4), range(4)) == [[0], [1], [2], [3]]
 
 
 def test_restrict_keeps_edge_matching_sign_rule():
-    g = BidirectedMultigraph()
-    u, v = g.add_vertices(2)
-    g.add_edge(u, MINUS, v, PLUS)
-    r = restrict(g, {u}, {v})
-    assert r.kept_edges == (0,)
+    assert _kept(MINUS, PLUS, {0}, {1})
     # flipping either sign kills it
-    g2 = BidirectedMultigraph()
-    u2, v2 = g2.add_vertices(2)
-    g2.add_edge(u2, PLUS, v2, PLUS)
-    assert restrict(g2, {u2}, {v2}).kept_edges == ()
+    assert not _kept(PLUS, PLUS, {0}, {1})
+    assert not _kept(MINUS, MINUS, {0}, {1})
+
+    def passes(sign, in_s, in_t):
+        if in_s and in_t:
+            return False
+        if in_s:
+            return sign is MINUS
+        if in_t:
+            return sign is PLUS
+        return True
+
+    sides = [(False, False), (True, False), (False, True), (True, True)]
+    for in_s_u, in_t_u in sides:
+        for in_s_v, in_t_v in sides:
+            s = {w for w, inside in ((0, in_s_u), (1, in_s_v)) if inside}
+            t = {w for w, inside in ((0, in_t_u), (1, in_t_v)) if inside}
+            for sign_u in SIGNS:
+                for sign_v in SIGNS:
+                    expected = passes(sign_u, in_s_u, in_t_u) and passes(sign_v, in_s_v, in_t_v)
+                    assert _kept(sign_u, sign_v, s, t) == expected, (s, t, sign_u, sign_v)
 
 
 @given(graph_and_x(), st.data())
@@ -282,18 +317,21 @@ def test_restrict_is_monotone_destructive(gx, data):
     n = g.vertex_count
     s = data.draw(st.frozensets(st.integers(0, n - 1)))
     t = data.draw(st.frozensets(st.integers(0, n - 1)))
-    r = restrict(g, s, t)
-    assert set(r.kept_edges) <= set(range(g.edge_count))
-    assert r.vertex_count == g.vertex_count
+    comps = restricted_components(g, s, t)
+    assert sorted(v for comp in comps for v in comp) == list(range(n))
+    # Dropping edges only splits components of the unrestricted graph.
+    whole = {v: i for i, comp in enumerate(restricted_components(g, (), ())) for v in comp}
+    for comp in comps:
+        assert len({whole[v] for v in comp}) == 1
 
 
 def test_weak_components_edgeless():
-    assert weak_components(Multigraph(3, ())) == [[0], [1], [2]]
+    assert weak_components(3, ()) == [[0], [1], [2]]
 
 
 def test_weak_components_path():
     h = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
-    assert weak_components(h) == [[0, 1, 2, 3]]
+    assert weak_components(h.vertex_count, h.endpoints) == [[0, 1, 2, 3]]
 
 
 def test_weak_components_k5_minus_star():
@@ -301,12 +339,12 @@ def test_weak_components_k5_minus_star():
     ends = tuple(
         (u, v) for u in range(5) for v in range(u + 1, 5) if u != 0
     )
-    assert weak_components(Multigraph(5, ends)) == [[0], [1, 2, 3, 4]]
+    assert weak_components(5, ends) == [[0], [1, 2, 3, 4]]
 
 
 @given(multigraphs())
 def test_weak_components_match_a_bfs_reference(h):
-    assert weak_components(h) == bfs_components(h)
+    assert weak_components(h.vertex_count, h.endpoints) == bfs_components(h)
 
 
 def test_dual_value_trivial_zero():

@@ -136,7 +136,7 @@ def _assert_gallai_edmonds_invariants(h: Multigraph) -> None:
             if a in ge.d and b in ge.d
         ),
     )
-    comps = weak_components(d_sub)
+    comps = weak_components(d_sub.vertex_count, d_sub.endpoints)
     for comp in comps:
         assert len(comp) % 2 == 1
         for drop in comp:

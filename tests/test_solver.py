@@ -22,10 +22,15 @@ from bidipath import (
 )
 from bidipath.auxiliary import build_auxiliary
 from bidipath.core import delete_vertices
-from bidipath.errors import InvalidK, SideConditionViolated, UnknownVertex
+from bidipath.errors import (
+    InternalDualityMismatch,
+    InvalidK,
+    SideConditionViolated,
+    UnknownVertex,
+)
 from bidipath.matching import _Matcher, gallai_edmonds, maximum_matching
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
-from bidipath.solver import _packing
+from bidipath.solver import _check_packing, _packing
 from helpers import (
     complete_all_minus,
     copy_of,
@@ -87,6 +92,26 @@ def test_packing_paths_are_valid_and_disjoint_on_random_instances():
             assert not (set(p.vertices) & used)
             used |= set(p.vertices)
         assert len(result.paths) == result.k
+
+
+def test_packing_check_names_the_failed_check():
+    g = BidirectedMultigraph()
+    a, v, b, c = g.add_vertices(4)
+    e0 = g.add_edge(a, MINUS, v, PLUS)
+    e1 = g.add_edge(v, PLUS, b, MINUS)
+    e2 = g.add_edge(v, MINUS, c, PLUS)
+    e3 = g.add_edge(c, MINUS, b, PLUS)
+    xs = frozenset({a, b, c})
+    a_v_c = SignedPath((a, v, c), (e0, e2))
+    _check_packing(g, xs, (a_v_c,))
+    cases = [
+        ((a_v_c, SignedPath((c, b), (e3,))), "path 1 shares a vertex with an earlier path"),
+        ((SignedPath((a, v, b), (e0, e1)),), "path 0 is not an X-path"),  # + twice at v
+        ((SignedPath((a, v, c, b), (e0, e2, e3)),), "path 0 is not an X-path"),  # c is in X
+    ]
+    for paths, reason in cases:
+        with pytest.raises(InternalDualityMismatch, match=f"packing check failed: {reason}"):
+            _check_packing(g, xs, paths)
 
 
 def _walk(g, x, seed):
