@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .bgf import _NAME, Instance, _column, format_instance, parse_instance
-from .core import Multigraph, dual_value, from_digraph, from_undirected
+from .core import Multigraph, from_digraph, from_undirected
 from .dot import export_dot
 from .errors import (
     BidipathError,
@@ -26,7 +26,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import generate_instance, parse_sign_dist
-from .solver import HittingSet, solve
+from .solver import solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -113,19 +113,10 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _audit_clear(instance: Instance, result: HittingSet) -> bool:
-    """True iff (S∖Y, T∖Y) has dual value 0 on g - Y, which proves that no
-    X-path survives Y. Linear time, on g: in (S∪Y, T∪Y) each vertex of Y is
-    an isolated member of S∩T, so that pair's value is |Y| plus the value of
-    (S∖Y, T∖Y) on g - Y."""
-    y = result.y
-    return dual_value(instance.graph, instance.x, result.s | y, result.t | y) == len(y)
-
-
 def _cmd_hitting_set(args) -> int:
     instance = parse_instance(_read_text(args.instance))
     solution = solve(instance.graph, instance.x, args.k)
-    result = solution.hitting_set
+    result = solution.hitting_set  # reading it audits Y
     if result is None:
         shown = solution.packing.paths[: args.k]
         if args.format == "machine":
@@ -138,23 +129,18 @@ def _cmd_hitting_set(args) -> int:
             for i, path in enumerate(shown, start=1):
                 print(f"  path {i}: {_render_path_human(instance, path)}")
         return EXIT_OK
-    audit_clear = _audit_clear(instance, result)
     if args.format == "machine":
         print("outcome: hitting-set")
         print(f"k: {args.k}")
         print(f"y: {_render_set(instance, result.y)}")
         print(f"size: {len(result.y)}")
         print(f"bound: {2 * args.k - 2}")
-        print(f"audit: {'no-x-path' if audit_clear else 'failed'}")
+        print("audit: no-x-path")
     else:
         print(f"fewer than {args.k} disjoint X-paths; hitting set found:")
         print(f"  Y = {{{_render_set(instance, result.y)}}}")
         print(f"  |Y| = {len(result.y)} <= 2k-2 = {2 * args.k - 2}")
-        print(f"  audit (no X-path once Y removed): {'ok' if audit_clear else 'FAILED'}")
-    if not audit_clear:
-        raise InternalDualityMismatch(
-            "hitting-set audit: (S∖Y, T∖Y) does not have dual value 0 on g - Y"
-        )
+        print("  audit (no X-path once Y removed): ok")
     return EXIT_OK
 
 
@@ -247,6 +233,8 @@ def _verify_one(path: str, limit: int) -> dict:
 def _cmd_verify(args) -> int:
     if args.jobs < 1:
         raise InvalidParameter("--jobs must be at least 1")
+    if args.limit < 0:
+        raise InvalidParameter("--limit must be at least 0")
     # The pool starts all its workers at once: never more than there is work for.
     workers = min(args.jobs, len(args.instances))
     if workers > 1:

@@ -7,8 +7,9 @@ once on g as pairwise disjoint X-paths), and translate the A-set of the same
 matching's Gallai-Edmonds partition into a vertex-set pair (S, T) whose dual
 bound equals the packing size. When fewer than k paths exist, a
 leave-one-out selection over the restricted graph's components yields a
-hitting set of size at most 2k-2. `certificate(g, X)` is the one view that
-returns a single part of the answer.
+hitting set Y of size at most 2k-2, audited on g by `verify_certificate`
+before it is returned. `certificate(g, X)` is the one view that returns a
+single part of the answer.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .core import (
     is_x_path,
     restricted_components,
 )
-from .errors import InternalDualityMismatch, InvalidK, UnknownVertex
+from .errors import InternalDualityMismatch, InvalidK, SideConditionViolated, UnknownVertex
 from .matching import _Matcher, grow_matching
 
 
@@ -54,6 +55,9 @@ class HittingSet:
     (S, T) is the instance's certificate. Y contains S∩T and leaves at most
     one vertex of X∪S∪T in each component of the restricted graph, so
     (S∖Y, T∖Y) has dual value 0 on g - Y: no X-path survives.
+    `Solution.hitting_set` checks this on g before it returns Y: each vertex
+    of Y is an isolated member of S∩T in (S∪Y, T∪Y), so that pair's value
+    is |Y| plus the value of (S∖Y, T∖Y) on g - Y.
     """
 
     y: frozenset[VertexId]
@@ -178,7 +182,7 @@ class Solution:
         |Y| <= 2k-2 meeting every X-path; None otherwise.
 
         Y combines S∩T with, per restricted component, all but the minimum-id
-        member of its marked vertices.
+        member of its marked vertices, audited on g before it is returned.
         """
         k = self.threshold
         if k is None or self.packing.k >= k:
@@ -193,7 +197,13 @@ class Solution:
             raise InternalDualityMismatch(
                 f"hitting set of size {len(y)} exceeds the bound {2 * k - 2}"
             )
-        return HittingSet(frozenset(y), k, cert.s, cert.t)
+        ys = frozenset(y)
+        audit = verify_certificate(
+            self.g, self.x, Certificate(cert.s | ys, cert.t | ys, len(ys)), len(ys)
+        )
+        if not audit:
+            raise InternalDualityMismatch(f"hitting-set audit failed: {audit.reason}")
+        return HittingSet(ys, k, cert.s, cert.t)
 
 
 def solve(
@@ -221,14 +231,11 @@ def verify_certificate(
 ) -> VerificationResult:
     """Recheck a certificate without solving anything."""
     try:
-        xs = g.check_vertex_set(x)
-        ss = g.check_vertex_set(cert.s)
-        ts = g.check_vertex_set(cert.t)
+        actual = dual_value(g, x, cert.s, cert.t)
     except UnknownVertex:
         return VerificationResult(False, "unknown-vertex")
-    if xs & ss != xs & ts:
+    except SideConditionViolated:
         return VerificationResult(False, "side-condition-violated")
-    actual = dual_value(g, xs, ss, ts)
     if actual != cert.value:
         return VerificationResult(False, "value-mismatch")
     if cert.value != claimed_k:

@@ -13,12 +13,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import bidipath
-from bidipath.bgf import Instance, format_instance, parse_instance
+from bidipath.bgf import format_instance, parse_instance
 from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
-from bidipath.cli import _audit_clear, main
+from bidipath.cli import main
 from bidipath.generate import generate_instance
 from bidipath.oracle import has_x_path
-from bidipath.solver import HittingSet, PackingResult, Solution, solve
+from bidipath.solver import (
+    Certificate,
+    HittingSet,
+    PackingResult,
+    Solution,
+    solve,
+    verify_certificate,
+)
 from helpers import graph_and_x, random_admissible_pair, random_instance, sign_broken_chain
 
 K5_BGF = (
@@ -77,6 +84,16 @@ def test_hitting_set_above_threshold(k5_file, capsys):
     assert got["outcome"] == ["hitting-set"]
     assert got["size"] == ["4"]
     assert got["audit"] == ["no-x-path"]
+
+
+def test_hitting_set_human_output(k5_file, capsys):
+    assert main(["hitting-set", k5_file, "-k", "3"]) == 0
+    assert capsys.readouterr().out == (
+        "fewer than 3 disjoint X-paths; hitting set found:\n"
+        "  Y = {b c d e}\n"
+        "  |Y| = 4 <= 2k-2 = 4\n"
+        "  audit (no X-path once Y removed): ok\n"
+    )
 
 
 def test_hitting_set_below_threshold(k5_file, capsys):
@@ -255,6 +272,14 @@ def test_verify_rejects_jobs_below_one(k5_file, capsys, monkeypatch):
     assert capsys.readouterr().err == "bidipath: --jobs must be at least 1\n"
 
 
+def test_verify_rejects_a_negative_limit(k5_file, capsys):
+    # A negative cap would skip the packing oracle and still report agreement.
+    assert main(["verify", k5_file, "--limit", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "bidipath: --limit must be at least 0\n"
+
+
 def test_non_utf8_instance_is_a_parse_error(tmp_path, capsys, monkeypatch):
     import io
 
@@ -303,6 +328,12 @@ def test_parse_and_solve_never_add_edges_one_at_a_time(tmp_path, capsys, monkeyp
     assert out["audit"] == ["no-x-path"]
 
 
+def audit_clear(g, x, result: HittingSet) -> bool:
+    """The hitting-set audit of Solution.hitting_set, on a given Y."""
+    y = result.y
+    return bool(verify_certificate(g, x, Certificate(result.s | y, result.t | y, len(y)), len(y)))
+
+
 @given(graph_and_x(max_vertices=7, max_edges=14), st.randoms(use_true_random=False))
 def test_audit_value_equals_the_literal_evaluation_on_g_minus_y(gx, rng):
     # The audit evaluates (S∪Y, T∪Y) on g; it must read |Y| plus the value
@@ -318,7 +349,7 @@ def test_audit_value_equals_the_literal_evaluation_on_g_minus_y(gx, rng):
     literal = dual_value(rest, kept(x), kept(s), kept(t))
     assert dual_value(g, x, s | y, t | y) == len(y) + literal
     result = HittingSet(y, 1, frozenset(s), frozenset(t))
-    assert _audit_clear(Instance.from_graph(g, x), result) == (literal == 0)
+    assert audit_clear(g, x, result) == (literal == 0)
 
 
 def test_putting_back_a_vertex_of_y_that_reopens_an_x_path_fails_the_audit():
@@ -327,30 +358,43 @@ def test_putting_back_a_vertex_of_y_that_reopens_an_x_path_fails_the_audit():
         inst = random_instance(seed, max_n=8)
         k = solve(inst.graph, inst.x).packing.k + 1
         result = solve(inst.graph, inst.x, k).hitting_set
-        assert _audit_clear(inst, result)
+        assert audit_clear(inst.graph, inst.x, result)
         for v in result.y:
             fewer = HittingSet(result.y - {v}, k, result.s, result.t)
             # Weak duality: a surviving X-path gives g - Y a positive value.
             # Y ⊇ S∩T, so a vertex of S∩T left out adds 1 to that value.
             if v in result.s & result.t or has_x_path(inst.graph, inst.x, fewer.y):
-                assert not _audit_clear(inst, fewer)
+                assert not audit_clear(inst.graph, inst.x, fewer)
                 failed += 1
     assert failed > 50
 
 
 def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
-    found = Solution.hitting_set.func
-
-    def one_short(self):
-        result = found(self)
-        return HittingSet(result.y - {max(result.y)}, result.k, result.s, result.t)
-
-    monkeypatch.setattr(Solution, "hitting_set", property(one_short))
+    # One marked vertex per component keeps only S∩T in Y, which misses paths.
+    monkeypatch.setattr(
+        "bidipath.solver.restricted_components", lambda g, s, t: [[v] for v in g.vertices()]
+    )
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     captured = capsys.readouterr()
-    assert machine_lines(captured.out)["audit"] == ["failed"]
+    assert captured.out == ""  # a failed answer is never printed
     assert "hitting-set audit" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_a_lopsided_certificate_fails_the_hitting_set_audit_by_name(k5_file, capsys, monkeypatch):
+    # An X-vertex in S only breaks X∩S = X∩T; the audit names that, exit 3.
+    found = Solution.certificate.func
+
+    def lopsided(self):
+        cert = found(self)
+        return Certificate(cert.s | {min(self.x - cert.s)}, cert.t, cert.value)
+
+    monkeypatch.setattr(Solution, "certificate", property(lopsided))
+    assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "hitting-set audit" in err and "side-condition-violated" in err
+    assert "Traceback" not in err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

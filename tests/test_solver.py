@@ -221,6 +221,10 @@ def test_verify_certificate_rejects_an_unknown_vertex():
     foreign = Certificate(cert.s | {7}, cert.t, cert.value)
     check = verify_certificate(g, range(5), foreign, 2)
     assert not check and check.reason == "unknown-vertex"
+    # An unknown vertex is reported before a side-condition break.
+    both = Certificate(frozenset({0, 7}), frozenset(), 0)
+    check = verify_certificate(g, range(5), both, 0)
+    assert not check and check.reason == "unknown-vertex"
 
 
 def test_gamma_image_five_cases():
@@ -262,6 +266,17 @@ def test_hitting_set_k5_remark_instance():
     result = solve(g, range(5), 3).hitting_set
     assert len(result.y) == 4
     assert not has_x_path(g, range(5), avoid=result.y)
+
+
+def test_hitting_set_is_audited_before_it_is_returned(monkeypatch):
+    # One marked vertex per component keeps only S∩T in Y, which leaves
+    # X-paths open: the audit on g must refuse that Y.
+    monkeypatch.setattr(
+        "bidipath.solver.restricted_components", lambda g, s, t: [[v] for v in g.vertices()]
+    )
+    g = complete_all_minus(5)
+    with pytest.raises(InternalDualityMismatch, match="hitting-set audit failed"):
+        solve(g, range(5), 3).hitting_set
 
 
 def test_hitting_set_returns_packing_when_enough_paths():
