@@ -42,19 +42,6 @@ VertexId = int
 EdgeId = int
 
 
-@dataclass(frozen=True)
-class Edge:
-    """One signed edge: endpoints u < v is NOT required, but u != v is."""
-
-    u: VertexId
-    sign_u: Sign
-    v: VertexId
-    sign_v: Sign
-
-    def other(self, w: VertexId) -> VertexId:
-        return self.v if w == self.u else self.u
-
-
 class BidirectedMultigraph:
     """Vertices are dense ints assigned in insertion order; edges likewise.
 
@@ -64,10 +51,9 @@ class BidirectedMultigraph:
 
     Edges are stored as four parallel lists indexed by edge id: the two
     endpoints and their signs. `add_edges` is the one writer and appends a
-    whole batch; `add_edge` is a batch of one. No incidence lists are kept
-    while the graph grows: `incident_edges` builds them from the edge lists
-    on first use after a change. `edge(e)` builds an `Edge` view on each
-    call; `edge_ends()` is the bulk read.
+    whole batch; `add_edge` is a batch of one. Nothing derived is kept: no
+    incidence lists and no edge objects. `edge_ends()` is the bulk read, and
+    a caller that walks adjacency (the oracle) indexes its own from it.
     """
 
     def __init__(self) -> None:
@@ -76,15 +62,9 @@ class BidirectedMultigraph:
         self._sign_u: list[Sign] = []
         self._v: list[VertexId] = []
         self._sign_v: list[Sign] = []
-        # (vertex count, edge count, incidence lists) as last built.
-        self._incidence: tuple[int, int, list[list[EdgeId]]] = (0, 0, [])
         self._frozen = False
 
     # -- construction ------------------------------------------------------
-
-    def add_vertex(self) -> VertexId:
-        """Append a fresh vertex and return its id."""
-        return self.add_vertices(1)[0]
 
     def add_vertices(self, count: int) -> list[VertexId]:
         """Append `count` fresh vertices and return their ids."""
@@ -159,40 +139,13 @@ class BidirectedMultigraph:
     def vertices(self) -> range:
         return range(self.vertex_count)
 
-    def has_vertex(self, v: VertexId) -> bool:
-        return 0 <= v < self.vertex_count
-
-    def has_edge(self, e: EdgeId) -> bool:
-        return 0 <= e < self.edge_count
-
-    def edge(self, e: EdgeId) -> Edge:
-        if not self.has_edge(e):
-            raise UnknownVertex(f"edge {e} does not exist")
-        return Edge(self._u[e], self._sign_u[e], self._v[e], self._sign_v[e])
-
     def edge_ends(self) -> Iterator[tuple[VertexId, Sign, VertexId, Sign]]:
         """(u, sign_u, v, sign_v) of every edge, in id order."""
         return zip(self._u, self._sign_u, self._v, self._sign_v)
 
-    def incident_edges(self, v: VertexId) -> Sequence[EdgeId]:
-        """Edge ids incident to v, in insertion (= id) order."""
-        if not self.has_vertex(v):
-            raise UnknownVertex(f"vertex {v} does not exist")
-        # Rebuilt after any change and published in one assignment, so
-        # threads reading a frozen graph at worst build it twice.
-        n, m, incidence = self._incidence
-        if (n, m) != (self._n, len(self._u)):
-            n, m = self._n, len(self._u)
-            incidence = [[] for _ in range(n)]
-            for e, (a, b) in enumerate(zip(self._u, self._v)):
-                incidence[a].append(e)
-                incidence[b].append(e)
-            self._incidence = (n, m, incidence)
-        return tuple(incidence[v])
-
     def sign(self, v: VertexId, e: EdgeId) -> Sign:
         """The sign of half-edge (v, e)."""
-        if not self.has_edge(e):
+        if not 0 <= e < len(self._u):
             raise UnknownVertex(f"edge {e} does not exist")
         if v == self._u[e]:
             return self._sign_u[e]
@@ -203,7 +156,7 @@ class BidirectedMultigraph:
     def check_vertex_set(self, vs: Iterable[VertexId]) -> frozenset[VertexId]:
         out = frozenset(vs)
         for v in out:
-            if not self.has_vertex(v):
+            if not 0 <= v < self._n:
                 raise UnknownVertex(f"vertex {v} does not exist")
         return out
 

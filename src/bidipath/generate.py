@@ -26,11 +26,11 @@ def parse_sign_dist(text: str) -> dict[str, float]:
             weight = float(raw)
         except ValueError:
             raise InvalidParameter(f"bad weight {raw!r} in {part!r}") from None
-        if weight < 0:
-            raise InvalidParameter(f"negative weight in {part!r}")
+        if not 0 <= weight < math.inf:
+            raise InvalidParameter(f"weight in {part!r} must be finite and non-negative")
         weights[pair] += weight
-    if sum(weights.values()) <= 0:
-        raise InvalidParameter("sign distribution must have positive total weight")
+    if not 0 < sum(weights.values()) < math.inf:
+        raise InvalidParameter("sign distribution must have a positive finite total weight")
     return weights
 
 
@@ -56,8 +56,14 @@ def generate_instance(
     if n == 1 and m > 0:
         raise InvalidParameter("a single vertex admits no loop-free edges")
     weights = dict.fromkeys(SIGN_PAIRS, 1.0) if sign_dist is None else dict(sign_dist)
-    if set(weights) != set(SIGN_PAIRS) or sum(weights.values()) <= 0:
+    if set(weights) != set(SIGN_PAIRS):
         raise InvalidParameter("sign_dist must weight exactly the four sign pairs")
+    if not all(0 <= w < math.inf for w in weights.values()) or not (
+        0 < sum(weights.values()) < math.inf
+    ):
+        raise InvalidParameter(
+            "sign_dist weights must be finite and non-negative, with a positive finite total"
+        )
 
     rng = random.Random(seed)
     graph = BidirectedMultigraph()

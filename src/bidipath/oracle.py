@@ -4,6 +4,8 @@ Everything here is deliberately naive and independent of the solving
 pipeline: exhaustive path enumeration, set-packing by branch and bound,
 dual minimization over every admissible (S, T), and matching by subset
 search. Hard size guards raise LimitExceeded instead of running forever.
+The graph is read only through `edge_ends()`, `vertices()`, `vertex_count`
+and `check_vertex_set()`; the path searches index their own adjacency.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from .core import (
     MINUS,
     BidirectedMultigraph,
     Multigraph,
+    Sign,
     SignedPath,
     VertexId,
 )
@@ -22,6 +25,18 @@ from .errors import LimitExceeded, SideConditionViolated
 MAX_PACKING_VERTICES = 10
 MAX_DUAL_STATES = 1 << 20
 MAX_MATCHING_EDGES = 20
+
+
+def _adjacency(
+    g: BidirectedMultigraph,
+) -> list[list[tuple[int, VertexId, Sign, Sign]]]:
+    """Per vertex v, (edge id, other end, sign at v, sign at the other end)
+    of every edge at v, in edge-id order."""
+    adj: list[list[tuple[int, VertexId, Sign, Sign]]] = [[] for _ in g.vertices()]
+    for eid, (u, sign_u, v, sign_v) in enumerate(g.edge_ends()):
+        adj[u].append((eid, v, sign_u, sign_v))
+        adj[v].append((eid, u, sign_v, sign_u))
+    return adj
 
 
 def enumerate_x_paths(
@@ -36,6 +51,7 @@ def enumerate_x_paths(
     LimitExceeded, reporting the partial count, if more than `limit` exist.
     """
     xs = g.check_vertex_set(x)
+    adj = _adjacency(g)
     found: list[SignedPath] = []
 
     def record(verts: list[VertexId], edges: list[int]) -> None:
@@ -45,13 +61,15 @@ def enumerate_x_paths(
             )
         found.append(SignedPath(tuple(verts), tuple(edges)))
 
-    def extend(verts: list[VertexId], edges: list[int], on_path: set[VertexId]) -> None:
-        v = verts[-1]
-        incoming = g.sign(v, edges[-1]) if edges else None
-        for eid in g.incident_edges(v):
-            if incoming is not None and g.sign(v, eid) == incoming:
+    def extend(
+        verts: list[VertexId],
+        edges: list[int],
+        on_path: set[VertexId],
+        incoming: Sign | None,
+    ) -> None:
+        for eid, w, here, there in adj[verts[-1]]:
+            if here is incoming:
                 continue
-            w = g.edge(eid).other(v)
             if w in on_path:
                 continue
             if w in xs:
@@ -61,13 +79,13 @@ def enumerate_x_paths(
             verts.append(w)
             edges.append(eid)
             on_path.add(w)
-            extend(verts, edges, on_path)
+            extend(verts, edges, on_path, there)
             on_path.remove(w)
             edges.pop()
             verts.pop()
 
     for start in sorted(xs):
-        extend([start], [], {start})
+        extend([start], [], {start}, None)
     return found
 
 
@@ -163,8 +181,8 @@ def brute_dual_min(
     if states > MAX_DUAL_STATES:
         raise LimitExceeded(f"brute_dual_min would visit {states} (S, T) pairs")
     edges = [
-        (e.u, e.sign_u is MINUS, e.v, e.sign_v is MINUS)
-        for e in (g.edge(i) for i in range(g.edge_count))
+        (u, sign_u is MINUS, v, sign_v is MINUS)
+        for u, sign_u, v, sign_v in g.edge_ends()
     ]
     x_mask = sum(1 << v for v in xs)
     options = [
@@ -217,8 +235,8 @@ def brute_dual_value(
     if xs & ss != xs & ts:
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
     edges = [
-        (e.u, e.sign_u is MINUS, e.v, e.sign_v is MINUS)
-        for e in (g.edge(i) for i in range(g.edge_count))
+        (u, sign_u is MINUS, v, sign_v is MINUS)
+        for u, sign_u, v, sign_v in g.edge_ends()
     ]
     return _masked_dual(
         g.vertex_count,
@@ -273,14 +291,14 @@ def has_x_path(
     banned = g.check_vertex_set(avoid)
     if len(xs - banned) < 2:
         return False  # both endpoints lie in X and are distinct
+    adj = _adjacency(g)
 
     def x_reachable(frm: VertexId, on_path: set[VertexId]) -> bool:
         seen = {frm}
         stack = [frm]
         while stack:
             v = stack.pop()
-            for eid in g.incident_edges(v):
-                w = g.edge(eid).other(v)
+            for _, w, _, _ in adj[v]:
                 if w in banned or w in on_path or w in seen:
                     continue
                 if w in xs:
@@ -294,20 +312,19 @@ def has_x_path(
         if not x_reachable(start, on_path):
             continue
         # Frames: (vertex, sign of the edge entering it, its remaining edges).
-        stack = [(start, None, iter(g.incident_edges(start)))]
+        stack = [(start, None, iter(adj[start]))]
         while stack:
             v, incoming, edges = stack[-1]
-            for eid in edges:
-                if incoming is not None and g.sign(v, eid) == incoming:
+            for _, w, here, there in edges:
+                if here is incoming:
                     continue
-                w = g.edge(eid).other(v)
                 if w in banned or w in on_path:
                     continue
                 if w in xs:
                     return True
                 on_path.add(w)
                 if x_reachable(w, on_path):
-                    stack.append((w, g.sign(w, eid), iter(g.incident_edges(w))))
+                    stack.append((w, there, iter(adj[w])))
                     break
                 on_path.remove(w)
             else:

@@ -38,7 +38,7 @@ PUBLIC = [
 # the class for a deleted method or attribute.
 DELETED = {
     "auxiliary": ["AuxVertex", "copy_index", "lift_path", "AlternatingPath", "project_path"],
-    "core": ["RestrictedGraph", "restrict"],
+    "core": ["RestrictedGraph", "restrict", "Edge"],
     "matching": [
         "TutteBergeWitness", "tutte_berge_witness", "tutte_berge_value", "components_without",
     ],
@@ -47,7 +47,9 @@ DELETED = {
 }
 DELETED_MEMBERS = {
     ("auxiliary", "AuxiliaryGraph"): ["aux_vertices", "p", "lifted"],
-    ("core", "Edge"): ["sign_at", "joins"],
+    ("core", "BidirectedMultigraph"): [
+        "incident_edges", "edge", "has_edge", "has_vertex", "add_vertex",
+    ],
     ("core", "Multigraph"): ["adjacency"],
     ("core", "SignedPath"): ["canonical", "endpoints"],
 }

@@ -5,7 +5,6 @@ from hypothesis import given
 
 from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath
 from bidipath.auxiliary import build_auxiliary
-from bidipath.core import Edge
 from bidipath.errors import UnknownVertex
 from bidipath.matching import is_matching
 from bidipath.oracle import enumerate_x_paths
@@ -21,7 +20,7 @@ from helpers import (
 
 def test_build_single_x_vertex():
     g = BidirectedMultigraph()
-    x = g.add_vertex()
+    x = g.add_vertices(1)[0]
     aux = build_auxiliary(g, {x})
     assert aux.graph.vertex_count == 1
     assert aux.graph.edge_count == 0
@@ -69,7 +68,7 @@ def test_build_counts_and_base_matching():
 
 def test_build_rejects_foreign_x():
     g = BidirectedMultigraph()
-    g.add_vertex()
+    g.add_vertices(1)
     with pytest.raises(UnknownVertex):
         build_auxiliary(g, {7})
 
@@ -159,9 +158,8 @@ def test_flat_layout_of_host_and_auxiliary_graph(gx):
     h.add_vertices(g.vertex_count)
     for e, (u, sign_u, v, sign_v) in enumerate(ends):
         assert h.add_edge(u, sign_u, v, sign_v) == e
-        assert h.edge(e) == g.edge(e) == Edge(u, sign_u, v, sign_v)
+        assert list(h.edge_ends())[e] == (u, sign_u, v, sign_v)
         assert (h.sign(u, e), h.sign(v, e)) == (sign_u, sign_v)
-        assert e in h.incident_edges(u) and e in h.incident_edges(v)
     assert list(h.edge_ends()) == ends
 
     aux = build_auxiliary(g, x)

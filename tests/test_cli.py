@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import bidipath
 from bidipath.bgf import format_instance, parse_instance
 from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
+from bidipath.errors import InvalidParameter
 from bidipath.cli import main
 from bidipath.generate import generate_instance
 from bidipath.oracle import has_x_path
@@ -179,7 +180,18 @@ def test_readme_generate_example_exits_0_and_parses_back(capsys):
 
 def test_generate_bad_params(capsys):
     assert main(["generate", "-n", "0", "-m", "0"]) == 1
-    assert main(["generate", "-n", "3", "-m", "1", "--sign-dist", "zz:1"]) == 1
+    capsys.readouterr()
+    for dist in ["zz:1", "--:nan", "--:inf", "--:1e309", "--:-1", "--:1e308,-+:1e308"]:
+        assert main(["generate", "-n", "4", "-m", "3", f"--sign-dist={dist}"]) == 1, dist
+        captured = capsys.readouterr()
+        assert captured.out == "", dist
+        assert captured.err.startswith("bidipath: ") and captured.err.count("\n") == 1, dist
+
+
+@pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+def test_generate_instance_rejects_a_weight_that_is_negative_or_not_finite(weight):
+    with pytest.raises(InvalidParameter):
+        generate_instance(6, 20, 0.5, {"--": weight, "-+": 2.0, "+-": 0.0, "++": 0.0}, 1)
 
 
 def test_export_dot_labels(k5_file, capsys):

@@ -7,9 +7,11 @@ from bidipath import (
     PLUS,
     BidirectedMultigraph,
     Multigraph,
+    SignedPath,
     dual_value,
     is_x_path,
 )
+from bidipath import oracle
 from bidipath.errors import LimitExceeded
 from bidipath.oracle import (
     brute_dual_min,
@@ -25,8 +27,10 @@ from helpers import (
     random_instance,
 )
 
+import ast
 import random
 import sys
+from pathlib import Path
 
 
 def test_enumerate_edgeless():
@@ -73,6 +77,55 @@ def test_enumerate_parallel_edges_counted_separately():
     g.add_edge(a, MINUS, b, MINUS)
     g.add_edge(a, MINUS, b, MINUS)
     assert len(enumerate_x_paths(g, {a, b})) == 2
+
+
+def test_the_oracle_sees_a_graph_that_grew_after_it_was_asked():
+    g = BidirectedMultigraph()
+    a, b, c = g.add_vertices(3)
+    e0 = g.add_edge(a, MINUS, b, PLUS)
+    assert not has_x_path(g, {a, c})
+    assert enumerate_x_paths(g, {a, c}) == []
+    g.add_edge(b, PLUS, c, MINUS)  # repeats + at b: still no X-path
+    assert not has_x_path(g, {a, c})
+    assert enumerate_x_paths(g, {a, c}) == []
+    d = g.add_vertices(1)[0]
+    e2 = g.add_edge(b, MINUS, d, PLUS)
+    e3 = g.add_edge(d, MINUS, c, PLUS)
+    assert has_x_path(g, {a, c})
+    assert enumerate_x_paths(g, {a, c}) == [SignedPath((a, b, d, c), (e0, e2, e3))]
+
+
+def test_enumerate_lists_parallel_edges_with_different_signs_in_id_order():
+    g = BidirectedMultigraph()
+    a, b, c = g.add_vertices(3)
+    e0 = g.add_edge(b, MINUS, c, PLUS)
+    e1 = g.add_edge(a, PLUS, b, PLUS)
+    e2 = g.add_edge(b, MINUS, c, MINUS)
+    assert enumerate_x_paths(g, {a, c}) == [
+        SignedPath((a, b, c), (e1, e0)),
+        SignedPath((a, b, c), (e1, e2)),
+    ]
+
+
+def test_the_oracle_depends_only_on_core_and_errors():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"core", "errors"}
+    assert {name.split(".")[0] for name in absolute} <= set(sys.stdlib_module_names)
+    # The graph is read through its edge lists only, never a derived view.
+    graph_reads = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "g"
+    }
+    assert graph_reads == {"check_vertex_set", "edge_ends", "vertex_count", "vertices"}
 
 
 def test_brute_max_disjoint_k5():

@@ -148,7 +148,7 @@ def test_walk_crosses_split_edges_from_the_lower_x_end():
 
 def test_walk_passes_a_split_edge_both_matchings_hold():
     g, x = _path_through_two_split_vertices()
-    w = g.add_vertex()
+    w = g.add_vertices(1)[0]
     g.add_edge(w, PLUS, 0, PLUS)  # w hangs off u and lies on no X-path
     solution = solve(g, x)
     aux = build_auxiliary(g, x)
@@ -363,9 +363,8 @@ def test_adding_an_edge_never_decreases_k():
         before = solve(g, x).packing.k
         grown = BidirectedMultigraph()
         grown.add_vertices(g.vertex_count)
-        for eid in range(g.edge_count):
-            e = g.edge(eid)
-            grown.add_edge(e.u, e.sign_u, e.v, e.sign_v)
+        for u, sign_u, v, sign_v in g.edge_ends():
+            grown.add_edge(u, sign_u, v, sign_v)
         rng = random.Random(seed + 99)
         u = rng.randrange(g.vertex_count)
         v = rng.randrange(g.vertex_count - 1)
