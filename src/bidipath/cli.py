@@ -8,6 +8,7 @@ error; either indicates a bug).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import generate_instance, parse_sign_dist
-from .solver import solve
+from .solver import check_threshold, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,6 +115,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_hitting_set(args) -> int:
+    check_threshold(args.k)
     instance = parse_instance(_read_text(args.instance))
     solution = solve(instance.graph, instance.x, args.k)
     result = solution.hitting_set  # reading it audits Y
@@ -186,10 +188,12 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
+    if args.overlay == "hitting-set":
+        if args.k is None:
+            raise InvalidParameter("--overlay hitting-set requires -k")
+        check_threshold(args.k)
     instance = parse_instance(_read_text(args.instance))
     packing = cert = hitting = None
-    if args.overlay == "hitting-set" and args.k is None:
-        raise InvalidParameter("--overlay hitting-set requires -k")
     if args.overlay is not None:
         threshold = args.k if args.overlay == "hitting-set" else None
         solution = solve(instance.graph, instance.x, threshold)
@@ -240,7 +244,11 @@ def _cmd_verify(args) -> int:
     if workers > 1:
         import concurrent.futures  # only verify uses a pool
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # A forked worker would inherit main's pause for its whole life, and
+        # it runs the exponential oracles: give it the collector back.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=gc.enable
+        ) as pool:
             reports = list(pool.map(_verify_one, args.instances, [args.limit] * len(args.instances)))
     else:
         reports = [_verify_one(path, args.limit) for path in args.instances]
@@ -316,6 +324,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The cyclic garbage collector is paused for the request: the solver
+    allocates no reference cycles, yet in a long-lived caller a full
+    collection walks the caller's whole heap. The caller's setting is
+    restored on every exit path, argparse's SystemExit included.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

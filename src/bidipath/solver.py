@@ -206,13 +206,19 @@ class Solution:
         return HittingSet(ys, k, cert.s, cert.t)
 
 
+def check_threshold(k: int) -> None:
+    """Reject a hitting-set threshold below 1, whose bound 2k-2 is void."""
+    if k < 1:
+        raise InvalidK("the hitting-set bound 2k-2 requires k >= 1")
+
+
 def solve(
     g: BidirectedMultigraph, x: Iterable[VertexId], k: int | None = None
 ) -> Solution:
     """Solve (g, X) once: the packing, and on demand its dual pair and, for
     a threshold k >= 1, a hitting set when fewer than k paths exist."""
-    if k is not None and k < 1:
-        raise InvalidK("the hitting-set bound 2k-2 requires k >= 1")
+    if k is not None:
+        check_threshold(k)
     xs = g.check_vertex_set(x)
     aux = build_auxiliary(g, xs)
     return Solution(g, xs, k, aux, grow_matching(aux.graph, aux.base_matching))

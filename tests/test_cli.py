@@ -1,5 +1,6 @@
 """End-to-end command tests through main(), checking output and exit codes."""
 
+import gc
 import hashlib
 import os
 import random
@@ -16,7 +17,7 @@ import bidipath
 from bidipath.bgf import format_instance, parse_instance
 from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
 from bidipath.errors import InvalidParameter
-from bidipath.cli import main
+from bidipath.cli import _verify_one, main
 from bidipath.generate import generate_instance
 from bidipath.oracle import has_x_path
 from bidipath.solver import (
@@ -106,6 +107,30 @@ def test_hitting_set_below_threshold(k5_file, capsys):
 
 def test_hitting_set_k_zero_is_usage_error(k5_file, capsys):
     assert main(["hitting-set", k5_file, "-k", "0"]) == 1
+
+
+BAD_K = "bidipath: the hitting-set bound 2k-2 requires k >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        pytest.param(["hitting-set", "-k", "0"], BAD_K, id="hitting-set-k-0"),
+        pytest.param(["export-dot", "--overlay", "hitting-set", "-k", "0"], BAD_K, id="dot-k-0"),
+        pytest.param(
+            ["export-dot", "--overlay", "hitting-set"],
+            "bidipath: --overlay hitting-set requires -k\n",
+            id="dot-no-k",
+        ),
+    ],
+)
+@pytest.mark.parametrize("instance", ["malformed", "missing"])
+def test_a_bad_k_is_reported_before_the_instance_is_read(tmp_path, capsys, argv, err, instance):
+    path = tmp_path / "bad.bgf"
+    if instance == "malformed":
+        path.write_text("e a - b +\n")
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert capsys.readouterr() == ("", err)
 
 
 def test_convert_digraph(tmp_path, capsys):
@@ -253,7 +278,7 @@ def _record_pool_sizes(monkeypatch) -> list[int]:
     sizes: list[int] = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
 
         def __enter__(self):
@@ -275,6 +300,17 @@ def test_verify_starts_no_more_workers_than_instances(k5_file, capsys, monkeypat
     assert main(["verify", k5_file, "--jobs", "8"]) == 0
     assert sizes == [2]  # one instance needs no pool
     assert capsys.readouterr().out.count(": ok (") == 3
+
+
+def _verify_one_noting_the_collector(path: str, limit: int) -> dict:
+    return {**_verify_one(path, limit), "collector": gc.isenabled()}
+
+
+def test_a_verify_worker_runs_with_the_collector_on(k5_file, capsys, monkeypatch):
+    # main pauses the collector, and a forked worker would inherit the pause.
+    monkeypatch.setattr("bidipath.cli._verify_one", _verify_one_noting_the_collector)
+    assert main(["verify", k5_file, k5_file, "--jobs", "2", "--format", "machine"]) == 0
+    assert machine_lines(capsys.readouterr().out)["collector"] == ["True", "True"]
 
 
 def test_verify_rejects_jobs_below_one(k5_file, capsys, monkeypatch):
@@ -407,6 +443,65 @@ def test_a_lopsided_certificate_fails_the_hitting_set_audit_by_name(k5_file, cap
     assert err.count("\n") == 1
     assert "hitting-set audit" in err and "side-condition-violated" in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """The caller's collector setting for the test; the old one comes back after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class _Escape(BaseException):
+    """An exception main does not catch."""
+
+
+def _raise(exc):
+    def raising(*args, **kwargs):
+        raise exc
+
+    return raising
+
+
+@pytest.mark.parametrize(
+    "argv, fault, outcome",
+    [
+        pytest.param(["solve", "{k5}"], None, 0, id="exit-0"),
+        pytest.param(["hitting-set", "{k5}", "-k", "0"], None, 1, id="exit-1"),
+        pytest.param(["solve", "{bad}"], None, 2, id="exit-2"),
+        pytest.param(["solve", "{k5}"], RuntimeError("boom"), 3, id="exit-3"),
+        pytest.param(["solve"], None, SystemExit, id="usage-error"),
+        pytest.param(["solve", "{k5}"], _Escape(), _Escape, id="escaping-exception"),
+    ],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    collector, k5_file, tmp_path, capsys, monkeypatch, argv, fault, outcome
+):
+    bad = tmp_path / "bad.bgf"
+    bad.write_text("e a - b +\n")
+    argv = [arg.format(k5=k5_file, bad=bad) for arg in argv]
+    if fault is not None:
+        monkeypatch.setattr("bidipath.cli.solve", _raise(fault))
+    if isinstance(outcome, int):
+        assert main(argv) == outcome
+    else:
+        with pytest.raises(outcome):
+            main(argv)
+    assert gc.isenabled() is collector
+
+
+def test_the_collector_is_paused_during_a_request(collector, k5_file, capsys, monkeypatch):
+    seen = []
+
+    def solve_noting_the_collector(*args):
+        seen.append(gc.isenabled())
+        return solve(*args)
+
+    monkeypatch.setattr("bidipath.cli.solve", solve_noting_the_collector)
+    assert main(["solve", k5_file]) == 0
+    assert seen == [False]
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

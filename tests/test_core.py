@@ -62,6 +62,19 @@ def test_unknown_endpoint_rejected():
         g.add_edge(a, MINUS, 5, PLUS)
 
 
+@pytest.mark.parametrize(
+    "vs, named",
+    [({0.5, 2}, "0.5"), ({0, 2.0}, "2.0"), ({"1"}, "'1'"), ({None, 1}, "None"), ({0, 3}, "3")],
+)
+def test_solve_rejects_a_vertex_id_that_is_not_an_int_in_range_by_name(vs, named):
+    g = BidirectedMultigraph()
+    g.add_vertices(3)
+    g.add_edge(0, MINUS, 1, PLUS)
+    g.add_edge(1, MINUS, 2, PLUS)
+    with pytest.raises(UnknownVertex, match=rf"^vertex {named} does not exist$"):
+        solve(g, vs)
+
+
 def test_parallel_edges_with_same_signs_are_distinct():
     g = BidirectedMultigraph()
     a, b = g.add_vertices(2)
