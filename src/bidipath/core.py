@@ -86,9 +86,9 @@ class BidirectedMultigraph:
         """Append the edges (us[i], sus[i], vs[i], svs[i]) and return their ids.
 
         All or nothing: if any edge is a loop, names a vertex that does not
-        exist or has an end-sign that is not a `Sign`, the graph is left
-        unchanged and the first such edge raises what `add_edge` would raise
-        for it.
+        exist (an id that is not an int in range) or has an end-sign that is
+        not a `Sign`, the graph is left unchanged and the first such edge
+        raises what `add_edge` would raise for it.
         """
         if self._frozen:
             raise GraphFrozen("cannot add an edge to a frozen graph")
@@ -96,7 +96,8 @@ class BidirectedMultigraph:
         if not len(sus) == len(vs) == len(svs) == count:
             raise ValueError("add_edges needs four lists of equal length")
         if count and (
-            min(min(us), min(vs)) < 0
+            not set(map(type, us)).union(map(type, vs)) <= {int}
+            or min(min(us), min(vs)) < 0
             or max(max(us), max(vs)) >= self._n
             or any(map(operator.eq, us, vs))
             or not set(map(type, sus)) | set(map(type, svs)) <= {Sign}
@@ -106,8 +107,8 @@ class BidirectedMultigraph:
                 if u == v:
                     raise LoopRejected(f"loop at vertex {u}")
                 for w in (u, v):
-                    if not 0 <= w < n:
-                        raise UnknownVertex(f"vertex {w} does not exist")
+                    if type(w) is not int or not 0 <= w < n:
+                        raise UnknownVertex(f"vertex {w!r} does not exist")
                 for sign in (sign_u, sign_v):
                     if type(sign) is not Sign:
                         raise InvalidParameter(f"end-sign {sign!r} is not a Sign")

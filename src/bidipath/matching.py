@@ -1,10 +1,11 @@
 """Maximum matching in general multigraphs, with its Gallai-Edmonds partition.
 
-The matcher is Edmonds' blossom-shrinking search over the simple support of
-the input (parallel edges are collapsed to their lowest-id representative;
-a matching never uses two parallel edges). The searches that fail leave a
-Hungarian forest: its even vertices are the D-set of the Gallai-Edmonds
-partition, whose A-set attains the Tutte-Berge minimum.
+The matcher is Edmonds' blossom-shrinking search, run as one alternating
+forest grown from every exposed vertex at once. Parallel edges stay in the
+adjacency lists; a matching never uses two of them, and a matched pair that
+the search flipped is reported by its lowest edge id. When no augmenting
+path is left the forest is Hungarian: its even vertices are the D-set of the
+Gallai-Edmonds partition, whose A-set attains the Tutte-Berge minimum.
 """
 
 from __future__ import annotations
@@ -42,31 +43,23 @@ def is_matching(h: Multigraph, edges: Iterable[int]) -> bool:
 
 
 class _Matcher:
-    """One blossom-search state over the simple support of a multigraph.
+    """One alternating forest over a multigraph, grown by `run`.
 
-    Scanning is in ascending representative-edge-id order, so the matching,
-    the augmenting paths, and the final forest labels are reproducible. The
-    search labels (even, parent, base) are allocated once; a successful
-    search resets the vertices it labelled and a failed one keeps them.
-
-    Every table is int-indexed: `rep` maps the pair key `u * n + v` (u < v)
-    to the pair's lowest edge id, `match[v]` is v's mate (-1 if exposed) and
-    `mate_edge[v]` the edge id that matches v to it.
+    Every table is int-indexed: `nbrs[v]` lists v's neighbours in ascending
+    edge-id order, one entry per edge, `match[v]` is v's mate (-1 if
+    exposed) and `mate_edge[v]` the edge id that matches v to it. The forest
+    labels (even, parent, base) are allocated once. Scanning is in a fixed
+    order, so the matching, the paths flipped and the final forest are
+    reproducible.
     """
 
     def __init__(self, h: Multigraph):
         self.h = h
         n = self.n = h.vertex_count
-        rep: dict[int, int] = {}
-        # Neighbours in ascending representative-edge-id order.
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(h.endpoints):
-            key = u * n + v if u < v else v * n + u
-            if key not in rep:
-                rep[key] = eid
-                nbrs[u].append(v)
-                nbrs[v].append(u)
-        self.rep = rep
+        for u, v in h.endpoints:
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self.nbrs = nbrs
         self.match = [-1] * n
         self.mate_edge = [-1] * n
@@ -111,7 +104,7 @@ class _Matcher:
     def _shrink(
         self, v: int, to: int, members: dict[int, list[int]], queue: deque[int]
     ) -> None:
-        """Contract the blossom closed by the even-even edge v-to.
+        """Contract the blossom closed by the even-even edge v-to of one tree.
 
         `members` lists the vertices of each contracted blossom by its base
         (a base missing from it stands for itself alone). The vertices turned
@@ -136,72 +129,96 @@ class _Matcher:
         turned.sort()
         queue.extend(turned)
 
-    def search(self, root: int) -> None:
-        """Grow an alternating tree from one exposed root.
-
-        A successful search flips the matching along the first augmenting
-        path found and clears its tree's labels. A failed tree is Hungarian:
-        no later augmenting path meets it (Edmonds 1965). It keeps its labels
-        for `gallai_edmonds`, and they make it dead to later searches, which
-        can reach only its odd vertices: a scan passes those by as already
-        labelled, and never takes one for even, since its mate is a blossom
-        base and so has no parent.
-        """
-        match, nbrs = self.match, self.nbrs
-        even, parent, base = self.even, self.parent, self.base
-        tree = [root]  # every vertex this search labels
-        members: dict[int, list[int]] = {}
-        even[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in nbrs[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                mate = match[to]
-                if to == root or (mate != -1 and parent[mate] != -1):
-                    # Even meets even: shrink the blossom around their cycle.
-                    self._shrink(v, to, members, queue)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    tree.append(to)
-                    if mate == -1:
-                        self._augment(to)
-                        for u in tree:
-                            even[u] = False
-                            parent[u] = -1
-                            base[u] = u
-                        return
-                    even[mate] = True
-                    tree.append(mate)
-                    queue.append(mate)
-
-    def _augment(self, to: int) -> None:
-        match, mate_edge, parent, rep, n = (
-            self.match, self.mate_edge, self.parent, self.rep, self.n
-        )
-        v = to
+    def _flip(self, v: int) -> None:
+        """Flip the matching along the tree path from v, an odd vertex or
+        the old mate of an even one, up to its root."""
+        match, mate_edge, parent = self.match, self.mate_edge, self.parent
         while v != -1:
             pv = parent[v]
             next_v = match[pv]
             match[pv] = v
             match[v] = pv
-            mate_edge[pv] = mate_edge[v] = rep[pv * n + v if pv < v else v * n + pv]
+            mate_edge[pv] = mate_edge[v] = -1
             v = next_v
 
     def run(self) -> None:
-        for v in range(self.n):
-            if self.match[v] == -1:
-                self.search(v)
+        """Grow the forest until no augmenting path is left.
+
+        Every exposed vertex roots a tree, and one FIFO queue, started in
+        ascending id order, scans the even vertices of all trees. An
+        unlabelled neighbour joins the scanning vertex's tree as odd and its
+        mate as even. An even-even edge inside one tree closes a blossom,
+        which `_shrink` contracts; one between two trees closes an augmenting
+        path. The two ends are matched to each other, each half is flipped
+        back to its root, and only those two trees are dissolved. Their
+        vertices are unlabelled again and now matched, so the even vertices
+        next to them rejoin the queue (in ascending id order) to grow into
+        them. A flipped pair's `mate_edge` is -1 until the last pass, which
+        gives it the pair's lowest edge id; a seeded pair never flipped
+        keeps its seed edge.
+
+        A parallel copy of an edge never acts: the first copy leaves its ends
+        in one blossom or one of them odd, or ends the scan at an
+        augmentation.
+        """
+        n, match, mate_edge, nbrs = self.n, self.match, self.mate_edge, self.nbrs
+        even, parent, base = self.even, self.parent, self.base
+        root = [-1] * n  # the tree of each labelled vertex, named by its root
+        trees: dict[int, list[int]] = {}  # every vertex each tree labelled
+        members: dict[int, list[int]] = {}
+        queue: deque[int] = deque()
+        for v in range(n):
+            if match[v] == -1:
+                root[v] = v
+                even[v] = True
+                trees[v] = [v]
+                queue.append(v)
+        while queue:
+            v = queue.popleft()
+            if not even[v]:
+                continue  # its tree was dissolved while it waited
+            r = root[v]
+            for to in nbrs[v]:
+                if base[v] == base[to]:
+                    continue
+                if even[to]:
+                    if root[to] == r:
+                        self._shrink(v, to, members, queue)
+                        continue
+                    mate_v, mate_to = match[v], match[to]
+                    match[v] = to
+                    match[to] = v
+                    mate_edge[v] = mate_edge[to] = -1
+                    self._flip(mate_v)
+                    self._flip(mate_to)
+                    dissolved = trees.pop(r) + trees.pop(root[to])
+                    for u in dissolved:
+                        even[u] = False
+                        parent[u] = -1
+                        base[u] = u
+                        root[u] = -1
+                        members.pop(u, None)
+                    queue.extend(sorted({w for u in dissolved for w in nbrs[u] if even[w]}))
+                    break
+                if root[to] == -1:  # unlabelled, so matched: grow the tree
+                    mate = match[to]
+                    parent[to] = v
+                    root[to] = root[mate] = r
+                    even[mate] = True
+                    trees[r] += (to, mate)
+                    queue.append(mate)
+        for eid, (u, v) in enumerate(self.h.endpoints):
+            if match[u] == v and mate_edge[u] == -1:
+                mate_edge[u] = mate_edge[v] = eid
 
     def matched_edges(self) -> frozenset[int]:
         return frozenset(e for e in self.mate_edge if e != -1)
 
     def gallai_edmonds(self) -> GallaiEdmonds:
-        """The partition read off the failed trees that `run` left labelled.
+        """The partition read off the forest that `run` left labelled.
 
-        D is their even vertices and A = N(D) - D. The same pass checks that
-        the forest is Hungarian, which for trees grown by `search` certifies
+        D is its even vertices and A = N(D) - D. The same pass checks that
+        the forest is Hungarian, which for a forest grown by `run` certifies
         that the matching is maximum: each exposed vertex is in D, each
         vertex of A is odd, and each D-D edge lies inside one blossom.
         """
@@ -243,8 +260,9 @@ def grow_matching(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:
 def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
     """A maximum-cardinality matching of h, grown from the given seed matching.
 
-    Edge ids in the result are ids of h; parallel edges are represented by
-    their lowest id except where the seed supplied another parallel copy.
+    Edge ids in the result are ids of h. A pair the search matched is
+    represented by its lowest parallel edge id; a seed edge whose pair the
+    search never flipped is kept, whichever parallel copy it is.
     """
     return grow_matching(h, seed).matched_edges()
 

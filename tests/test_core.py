@@ -127,9 +127,12 @@ def test_add_edges_equals_repeated_add_edge(batch):
         ((1, MINUS, 1, PLUS), LoopRejected),
         ((0, MINUS, 3, PLUS), UnknownVertex),
         ((-1, PLUS, 0, MINUS), UnknownVertex),
+        ((0.5, MINUS, 2, PLUS), UnknownVertex),
+        ((0, PLUS, True, MINUS), UnknownVertex),
         ((0, MINUS, 2, "+"), InvalidParameter),
     ],
-    ids=["loop", "past-the-last-vertex", "negative-vertex", "string-sign"],
+    ids=["loop", "past-the-last-vertex", "negative-vertex", "float-vertex", "bool-vertex",
+         "string-sign"],
 )
 def test_a_bad_edge_anywhere_in_a_batch_leaves_the_graph_unchanged(bad, error, position):
     g = BidirectedMultigraph()
@@ -144,6 +147,21 @@ def test_a_bad_edge_anywhere_in_a_batch_leaves_the_graph_unchanged(bad, error, p
         single.add_edge(*bad)
     assert str(bulk.value) == str(one.value)
     assert list(g.edge_ends()) == [(0, MINUS, 1, PLUS)]
+
+
+@pytest.mark.parametrize(
+    "u, v, named",
+    [(0.5, 2, "0.5"), (0, 2.0, "2.0"), ("1", 2, "'1'"), (None, 1, "None"), (0, True, "True")],
+)
+def test_add_edges_rejects_a_vertex_id_that_is_not_an_int_by_name(u, v, named):
+    # 0.5 and 2.0 are in range: only the type check keeps them out of the
+    # graph, where a later solve would fail with a bare TypeError.
+    g = BidirectedMultigraph()
+    g.add_vertices(3)
+    with pytest.raises(UnknownVertex, match=rf"^vertex {named} does not exist$"):
+        g.add_edges([0, u], [PLUS, MINUS], [1, v], [MINUS, PLUS])
+    assert g.edge_count == 0
+    assert solve(g, {0, 2}).packing.k == 0
 
 
 def test_a_frozen_graph_rejects_every_batch():

@@ -78,6 +78,30 @@ def test_parallel_edge_immunity():
         assert len(maximum_matching(h)) == len(maximum_matching(support))
 
 
+def test_a_matched_pair_reports_its_lowest_parallel_edge_id():
+    # Both pairs are matched by the search, each through its first copy.
+    h = Multigraph(4, ((1, 2), (0, 1), (2, 3), (1, 0), (3, 2), (2, 1)))
+    assert maximum_matching(h) == {1, 2}
+    # A seeded higher copy the search never flips survives; the flipped
+    # pair 2-3 still reports its lowest id.
+    h = Multigraph(4, ((0, 1), (0, 1), (2, 3), (2, 3)))
+    assert maximum_matching(h, seed={1}) == {1, 2}
+    assert maximum_matching(h, seed={1, 3}) == {1, 3}
+
+
+def test_only_seed_edges_are_matched_through_a_higher_parallel_copy():
+    for seed in range(200):
+        h = random_multigraph(seed, max_n=10, max_m=30)
+        lowest: dict[tuple[int, int], int] = {}
+        for eid, (u, v) in enumerate(h.endpoints):
+            lowest.setdefault((min(u, v), max(u, v)), eid)
+        given = _greedy_matching(h, reversed(range(h.edge_count)))  # highest copies first
+        for start in ((), given):
+            for eid in maximum_matching(h, seed=start):
+                u, v = h.endpoints[eid]
+                assert eid == lowest[min(u, v), max(u, v)] or eid in start
+
+
 # The Tutte-Berge witness is the A-set of the Gallai-Edmonds partition.
 def test_witness_on_perfectly_matchable_graph():
     h = path_graph(4)

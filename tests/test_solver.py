@@ -439,9 +439,10 @@ def test_solve_rejects_k_zero_before_solving():
         solve(complete_all_minus(3), {9}, 0)
 
 
-# sha256 of the matchings, packings and certificates below as first computed
-# by the original two-pass solver; a faster search must reproduce them.
-RECORDED_DIGEST = "0b90e6e8d27a3fafd81ab56d70e363b0a7e9f4bdc4176d77402814ed12e562e6"
+# sha256 of the matchings, packings and certificates below, as recorded with
+# the one-forest matcher; a faster search that keeps its scan order must
+# reproduce them. The invariant digest below pins what no search may move.
+RECORDED_DIGEST = "dc96d16d107dfa95e1e36e568025eeb70246b2a31dbac758999e9274d1295650"
 
 
 def test_outputs_match_the_recorded_digest():
@@ -455,6 +456,28 @@ def test_outputs_match_the_recorded_digest():
         cert = certificate(inst.graph, inst.x)
         digest.update(repr((packing, sorted(cert.s), sorted(cert.t))).encode())
     assert digest.hexdigest() == RECORDED_DIGEST
+
+
+# sha256 of what no choice among maximum matchings can change, for the same
+# multigraphs and instances: the matching size and the Gallai-Edmonds
+# partition (D, A, C), and k with the dual pair (S, T). Unlike the digest
+# above, no new search may move it.
+RECORDED_INVARIANT_DIGEST = "bae21648b1e38114300e2554809afa2b6442633721afaa68cebabcac4a389f52"
+
+
+def test_invariants_match_the_recorded_digest():
+    digest = hashlib.sha256()
+    for seed in range(200):
+        h = random_multigraph(seed, max_n=24, max_m=60)
+        ge = gallai_edmonds(h)
+        size = len(maximum_matching(h))
+        digest.update(repr((size, sorted(ge.d), sorted(ge.a), sorted(ge.c))).encode())
+    for seed in range(40):
+        inst = generate_instance(40, 100, 0.3, {"--": 3, "-+": 1, "+-": 1, "++": 1}, seed)
+        solution = solve(inst.graph, inst.x)
+        cert = solution.certificate
+        digest.update(repr((solution.packing.k, sorted(cert.s), sorted(cert.t))).encode())
+    assert digest.hexdigest() == RECORDED_INVARIANT_DIGEST
 
 
 # Beyond the oracles' reach: the self-checks carry the proof at 10^4 vertices.
@@ -486,6 +509,26 @@ def test_a_10k_vertex_instance_with_no_x_path_is_certified():
     solution = solve(g, x)
     assert solution.packing.k == 0
     assert verify_certificate(g, x, solution.certificate, 0)
+
+
+def test_a_directed_grid_with_long_augmenting_paths_is_certified():
+    # A w x w grid of arcs going right and down, and per row one X-vertex
+    # with an arc into the row's first vertex and one with an arc out of its
+    # last: k = w, and most augmenting paths are long, so a search that
+    # relabels a whole tree per augmentation is superlinear here. w = 141
+    # gives about 2 * 10^4 vertices.
+    w = 141
+    arcs = [(v, v + 1) for v in range(w * w) if (v + 1) % w]
+    arcs += [(v, v + w) for v in range(w * (w - 1))]
+    x = []
+    for row in range(w):
+        a, b = w * w + 2 * row, w * w + 2 * row + 1
+        arcs += [(a, row * w), (row * w + w - 1, b)]
+        x += [a, b]
+    g = from_digraph(w * w + 2 * w, arcs)
+    solution = solve(g, x)
+    assert solution.packing.k == w
+    assert verify_certificate(g, x, solution.certificate, w)
 
 
 def test_a_10k_vertex_sign_consistent_chain_has_one_x_path():
