@@ -12,7 +12,6 @@ from .core import (
     MINUS,
     PLUS,
     BidirectedMultigraph,
-    Multigraph,
     Sign,
     SignedPath,
     dual_value,
@@ -39,7 +38,6 @@ __all__ = [
     "HittingSet",
     "Instance",
     "MINUS",
-    "Multigraph",
     "PLUS",
     "PackingResult",
     "Sign",

@@ -1,69 +1,40 @@
 """The auxiliary undirected multigraph that turns X-path packing into matching.
 
-Every vertex v outside X is split into two copies (v, 1) and (v, 2) joined by
-a split edge; every signed edge of the host is rerouted to copy 1 at an end
-with sign - and to copy 2 at an end with sign +. The split edges form the
-base matching; X-paths of the host correspond exactly to the base-alternating
+Host vertex v gets the auxiliary ids 2v and 2v+1. Outside X they are its two
+copies, joined by a split edge: every host edge end with sign - at v lands on
+2v, every end with sign + on 2v+1. An X-vertex is not split: all its ends land
+on 2v, and 2v+1 stays isolated. So the owner of auxiliary vertex a is a >> 1,
+and a & 1 tells the + copy from the - one. The split edges form the base
+matching; X-paths of the host correspond exactly to the base-alternating
 X-paths here.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .core import MINUS, BidirectedMultigraph, EdgeId, Multigraph, VertexId
+from .core import MINUS, BidirectedMultigraph, VertexId
 
 
 class AuxiliaryGraph:
-    """Frozen result of build_auxiliary; safe for shared read access.
+    """The auxiliary graph of (host, X) as two flat edge lists.
 
-    Vertex ids are dense, ordered by (underlying vertex, copy): `first[v]` is
-    the one id of an X-vertex v, or the id of copy 1 of any other vertex,
-    whose copy 2 is `first[v] + 1`. `owner[a]` and `copy[a]` name the host
-    vertex and the copy (0 for an X-vertex) of auxiliary vertex a. Edge ids
-    put the split edges first (by underlying vertex), then the rerouted host
-    edges: host edge e becomes edge `len(split_edges) + e`. So matchings and
-    certificates are reproducible.
+    Edge i joins `us[i]` and `vs[i]`. The first `split_count` edges are the
+    split edges (2v, 2v+1) in host-vertex order; host edge e follows as edge
+    `split_count + e`. So matchings and certificates are reproducible.
     """
 
     def __init__(self, host: BidirectedMultigraph, x: frozenset[VertexId]):
-        self.host = host
-        self.x = x
-        first: list[int] = []
-        owner: list[VertexId] = []
-        copy: list[int] = []
-        # An edge end with sign - at v lands on first[v], one with sign + on at_plus[v].
-        at_plus: list[int] = []
-        endpoints: list[tuple[int, int]] = []
-        self.split_edges: dict[VertexId, EdgeId] = {}
-        for v in host.vertices():
-            a = len(owner)
-            first.append(a)
-            if v in x:
-                owner.append(v)
-                copy.append(0)
-                at_plus.append(a)
-            else:
-                owner += (v, v)
-                copy += (1, 2)
-                at_plus.append(a + 1)
-                self.split_edges[v] = len(endpoints)
-                endpoints.append((a, a + 1))
-        self.first = first
-        self.owner = owner
-        self.copy = copy
-        self.base_matching = frozenset(range(len(endpoints)))
-        endpoints += [
-            (
-                (first if sign_u is MINUS else at_plus)[u],
-                (first if sign_v is MINUS else at_plus)[v],
-            )
-            for u, sign_u, v, sign_v in host.edge_ends()
-        ]
-        self.graph = Multigraph(len(owner), tuple(endpoints))
-
-
-def build_auxiliary(g: BidirectedMultigraph, x: Iterable[VertexId]) -> AuxiliaryGraph:
-    """Construct the split-vertex auxiliary graph for (g, X)."""
-    xs = g.check_vertex_set(x)
-    return AuxiliaryGraph(g, xs)
+        n = host.vertex_count
+        self.vertex_count = 2 * n
+        # An end with sign - at v lands on at_minus[v], one with sign + on
+        # at_plus[v]. Reading the ids from lists shares one int object per id.
+        at_minus = list(range(0, 2 * n, 2))
+        at_plus = list(range(1, 2 * n, 2))
+        for v in x:
+            at_plus[v] = at_minus[v]
+        split = [v for v in host.vertices() if v not in x]
+        self.split_count = len(split)
+        self.us = [at_minus[v] for v in split]
+        self.vs = [at_plus[v] for v in split]
+        ends = host.edge_ends
+        self.us += [(at_minus if sign is MINUS else at_plus)[u] for u, sign, _, _ in ends()]
+        self.vs += [(at_minus if sign is MINUS else at_plus)[v] for _, _, v, sign in ends()]

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .bgf import _NAME, Instance, _column, format_instance, parse_instance
-from .core import Multigraph, from_digraph, from_undirected
+from .core import from_digraph, from_undirected
 from .dot import export_dot
 from .errors import (
     BidipathError,
@@ -174,7 +174,7 @@ def _cmd_convert(args) -> int:
     if args.mode == "digraph":
         graph = from_digraph(len(names), pairs)
     else:
-        graph = from_undirected(Multigraph(len(names), tuple(pairs)))
+        graph = from_undirected(len(names), pairs)
     instance = Instance.from_graph(graph.freeze(), frozenset(), tuple(names))
     sys.stdout.write(format_instance(instance))
     return EXIT_OK

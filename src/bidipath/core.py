@@ -221,18 +221,6 @@ def is_x_path(g: BidirectedMultigraph, x: Iterable[VertexId], p: SignedPath) -> 
     return all(v not in xs for v in p.vertices[1:-1])
 
 
-@dataclass(frozen=True)
-class Multigraph:
-    """A plain undirected multigraph: dense vertices, edge id = list index."""
-
-    vertex_count: int
-    endpoints: tuple[tuple[int, int], ...]
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.endpoints)
-
-
 def weak_components(
     vertex_count: int, pairs: Iterable[tuple[int, int]]
 ) -> list[list[int]]:
@@ -348,15 +336,17 @@ def from_digraph(
     return g
 
 
-def from_undirected(h: Multigraph) -> BidirectedMultigraph:
-    """Encode a loop-free undirected multigraph.
+def from_undirected(
+    vertex_count: int, pairs: Sequence[tuple[int, int]]
+) -> BidirectedMultigraph:
+    """Encode a loop-free undirected multigraph with the edges `pairs`.
 
     Each edge {u, v} becomes two edges: one with sign - at u and + at v,
     one with the signs swapped, so both traversal directions alternate.
     """
     g = BidirectedMultigraph()
-    g.add_vertices(h.vertex_count)
-    us = [u for u, _ in h.endpoints for _ in (0, 1)]
-    vs = [v for _, v in h.endpoints for _ in (0, 1)]
-    g.add_edges(us, [MINUS, PLUS] * h.edge_count, vs, [PLUS, MINUS] * h.edge_count)
+    g.add_vertices(vertex_count)
+    us = [u for u, _ in pairs for _ in (0, 1)]
+    vs = [v for _, v in pairs for _ in (0, 1)]
+    g.add_edges(us, [MINUS, PLUS] * len(pairs), vs, [PLUS, MINUS] * len(pairs))
     return g

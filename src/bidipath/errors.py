@@ -25,10 +25,6 @@ class SideConditionViolated(BidipathError):
     """The pair (S, T) does not satisfy X ∩ S = X ∩ T."""
 
 
-class InvalidSeed(BidipathError):
-    """The supplied edge set is not a matching of the host graph."""
-
-
 class InvalidK(BidipathError):
     """The requested threshold k is outside the admissible range."""
 

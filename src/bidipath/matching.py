@@ -1,11 +1,13 @@
 """Maximum matching in general multigraphs, with its Gallai-Edmonds partition.
 
-The matcher is Edmonds' blossom-shrinking search, run as one alternating
-forest grown from every exposed vertex at once. Parallel edges stay in the
-adjacency lists; a matching never uses two of them, and a matched pair that
-the search flipped is reported by its lowest edge id. When no augmenting
-path is left the forest is Hungarian: its even vertices are the D-set of the
-Gallai-Edmonds partition, whose A-set attains the Tutte-Berge minimum.
+A multigraph is two flat int lists `us` and `vs` over range(vertex_count):
+edge i joins us[i] and vs[i]. The matcher is Edmonds' blossom-shrinking
+search, run as one alternating forest grown from every exposed vertex at
+once. Parallel edges stay in the adjacency lists; a matching never uses two
+of them, and a matched pair that the search flipped is reported by its
+lowest edge id. When no augmenting path is left the forest is Hungarian: its
+even vertices are the D-set of the Gallai-Edmonds partition, whose A-set
+attains the Tutte-Berge minimum.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import Multigraph
-from .errors import InternalDualityMismatch, InvalidSeed
+from .errors import InternalDualityMismatch
 
 
 @dataclass(frozen=True)
@@ -28,36 +29,23 @@ class GallaiEdmonds:
     c: frozenset[int]
 
 
-def is_matching(h: Multigraph, edges: Iterable[int]) -> bool:
-    """True iff the edge ids exist in h and no two of them share an endpoint."""
-    seen: set[int] = set()
-    for eid in edges:
-        if not 0 <= eid < h.edge_count:
-            return False
-        u, v = h.endpoints[eid]
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
-
-
 class _Matcher:
     """One alternating forest over a multigraph, grown by `run`.
 
-    Every table is int-indexed: `nbrs[v]` lists v's neighbours in ascending
-    edge-id order, one entry per edge, `match[v]` is v's mate (-1 if
+    The multigraph is given as two flat lists: edge i joins `us[i]` and
+    `vs[i]`. Every table is int-indexed: `nbrs[v]` lists v's neighbours in
+    ascending edge-id order, one entry per edge, `match[v]` is v's mate (-1 if
     exposed) and `mate_edge[v]` the edge id that matches v to it. The forest
     labels (even, parent, base) are allocated once. Scanning is in a fixed
     order, so the matching, the paths flipped and the final forest are
     reproducible.
     """
 
-    def __init__(self, h: Multigraph):
-        self.h = h
-        n = self.n = h.vertex_count
+    def __init__(self, vertex_count: int, us: list[int], vs: list[int]):
+        n = self.n = vertex_count
+        self.us, self.vs = us, vs
         nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in h.endpoints:
+        for u, v in zip(us, vs):
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.nbrs = nbrs
@@ -68,9 +56,10 @@ class _Matcher:
         self.base = list(range(n))
 
     def seed(self, edges: Iterable[int]) -> None:
-        match, mate_edge, endpoints = self.match, self.mate_edge, self.h.endpoints
-        for eid in sorted(edges):
-            u, v = endpoints[eid]
+        """Match the ends of the given edges, which must form a matching."""
+        match, mate_edge, us, vs = self.match, self.mate_edge, self.us, self.vs
+        for eid in edges:
+            u, v = us[eid], vs[eid]
             match[u] = v
             match[v] = u
             mate_edge[u] = mate_edge[v] = eid
@@ -207,7 +196,7 @@ class _Matcher:
                     even[mate] = True
                     trees[r] += (to, mate)
                     queue.append(mate)
-        for eid, (u, v) in enumerate(self.h.endpoints):
+        for eid, (u, v) in enumerate(zip(self.us, self.vs)):
             if match[u] == v and mate_edge[u] == -1:
                 mate_edge[u] = mate_edge[v] = eid
 
@@ -246,27 +235,13 @@ class _Matcher:
         return GallaiEdmonds(frozenset(d), frozenset(a), c)
 
 
-def grow_matching(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:
-    """A matcher holding a maximum matching of h grown from the seed matching."""
-    seed_edges = frozenset(seed)
-    if not is_matching(h, seed_edges):
-        raise InvalidSeed("seed is not a matching of the host graph")
-    matcher = _Matcher(h)
-    matcher.seed(seed_edges)
+def grow_matching(
+    vertex_count: int, us: list[int], vs: list[int], seed: Iterable[int] = ()
+) -> _Matcher:
+    """A matcher holding a maximum matching of the multigraph (us, vs) on
+    range(vertex_count), grown from the seed edges, which must form a
+    matching (they are not checked)."""
+    matcher = _Matcher(vertex_count, us, vs)
+    matcher.seed(seed)
     matcher.run()
     return matcher
-
-
-def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
-    """A maximum-cardinality matching of h, grown from the given seed matching.
-
-    Edge ids in the result are ids of h. A pair the search matched is
-    represented by its lowest parallel edge id; a seed edge whose pair the
-    search never flipped is kept, whichever parallel copy it is.
-    """
-    return grow_matching(h, seed).matched_edges()
-
-
-def gallai_edmonds(h: Multigraph) -> GallaiEdmonds:
-    """The canonical partition (D, A, C) of h."""
-    return grow_matching(h).gallai_edmonds()

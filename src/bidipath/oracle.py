@@ -10,12 +10,11 @@ and `check_vertex_set()`; the path searches index their own adjacency.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     MINUS,
     BidirectedMultigraph,
-    Multigraph,
     Sign,
     SignedPath,
     VertexId,
@@ -247,25 +246,24 @@ def brute_dual_value(
     )
 
 
-def brute_matching(h: Multigraph) -> int:
-    """Maximum matching size by include/exclude search over the edge list."""
-    if h.edge_count > MAX_MATCHING_EDGES:
+def brute_matching(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> int:
+    """Maximum matching size of the multigraph on range(vertex_count) with the
+    edges `pairs`, by include/exclude search over the edge list."""
+    if len(pairs) > MAX_MATCHING_EDGES:
         raise LimitExceeded(
             f"brute_matching is limited to {MAX_MATCHING_EDGES} edges"
         )
-    edges = h.endpoints
-    m = len(edges)
-    n = h.vertex_count
+    m = len(pairs)
     best = 0
 
     def descend(i: int, used: int, size: int) -> None:
         nonlocal best
         if size > best:
             best = size
-        free_bound = (n - bin(used).count("1")) // 2
+        free_bound = (vertex_count - bin(used).count("1")) // 2
         if i == m or size + min(m - i, free_bound) <= best:
             return
-        u, v = edges[i]
+        u, v = pairs[i]
         if not used >> u & 1 and not used >> v & 1:
             descend(i + 1, used | 1 << u | 1 << v, size + 1)
         descend(i + 1, used, size)

@@ -1,15 +1,17 @@
 """Maximum disjoint X-path packing with a dual certificate and hitting sets.
 
 The pipeline (`solve`): build the auxiliary graph once, grow one maximum
-matching from the base matching, read the packing size off the matching
-surplus and the paths off walks of the matching from the X-vertices (checked
-once on g as pairwise disjoint X-paths), and translate the A-set of the same
-matching's Gallai-Edmonds partition into a vertex-set pair (S, T) whose dual
-bound equals the packing size. When fewer than k paths exist, a
-leave-one-out selection over the restricted graph's components yields a
-hitting set Y of size at most 2k-2, audited on g by `verify_certificate`
-before it is returned. `certificate(g, X)` is the one view that returns a
-single part of the answer.
+matching from the base matching of its split edges, read the packing size off
+the matching surplus and the paths off walks of the matching from the
+X-vertices (checked once on g as pairwise disjoint X-paths), and translate
+the A-set of the same matching's Gallai-Edmonds partition into a vertex-set
+pair (S, T) whose dual bound equals the packing size. Auxiliary vertex a
+belongs to host vertex a >> 1; outside X, a & 1 is 0 on its - copy and 1 on
+its + copy. When fewer than k paths exist, a leave-one-out selection over
+the restricted graph's components yields a hitting set Y of size at most
+2k-2, audited on g by `verify_certificate` before it is returned.
+`certificate(g, X)` is the one view that returns a single part of the
+answer.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .auxiliary import AuxiliaryGraph, build_auxiliary
+from .auxiliary import AuxiliaryGraph
 from .core import (
     BidirectedMultigraph,
     SignedPath,
@@ -75,33 +77,45 @@ class VerificationResult:
         return self.ok
 
 
-def _packing(aux: AuxiliaryGraph, matcher: _Matcher) -> PackingResult:
+def _packing(
+    aux: AuxiliaryGraph, xs: frozenset[VertexId], matcher: _Matcher
+) -> PackingResult:
     """The host paths of the matching's alternating X-paths against the base
     matching; there are exactly as many as the matching's surplus.
 
-    The walk from each X-vertex takes the matching edge, then the split edge
-    of the copy it reached, and so on, until it reaches an X-vertex or a copy
-    the matching leaves exposed. It records the owner of each copy it reaches
-    by a matching edge and the host id of that edge. The walks that end at a
-    higher X-vertex are kept; taken in ascending order of their start, they
-    are the paths in canonical orientation and order.
+    The walk from each X-vertex x starts at 2x and takes the matching edge,
+    then the split edge of the copy w it reached (to w ^ 1), and so on, until
+    it reaches an X-vertex or a copy the matching leaves exposed. It records
+    the owner w >> 1 of each copy it reaches by a matching edge and the host
+    id of that edge. The walks that end at a higher X-vertex are kept; taken
+    in ascending order of their start, they are the paths in canonical
+    orientation and order. A walk still going after as many steps as the host
+    has vertices has repeated one, and raises InternalDualityMismatch.
     """
     match, mate_edge = matcher.match, matcher.mate_edge
-    owner, copy = aux.owner, aux.copy
-    split_count = len(aux.split_edges)
-    k = (matcher.n - match.count(-1)) // 2 - len(aux.base_matching)
+    split_count = aux.split_count
+    steps = aux.vertex_count // 2
+    k = (matcher.n - match.count(-1)) // 2 - split_count
     paths: list[SignedPath] = []
-    for x in sorted(aux.x):
-        v = aux.first[x]
+    for x in sorted(xs):
+        v = 2 * x
         vertices, edges = [x], []
-        while (w := match[v]) != -1:
+        for _ in range(steps):
+            w = match[v]
+            if w == -1:
+                break
             edges.append(mate_edge[v] - split_count)
-            vertices.append(owner[w])
-            if copy[w] == 0:
-                if owner[w] > x:
+            u = w >> 1
+            vertices.append(u)
+            if u in xs:
+                if u > x:
                     paths.append(SignedPath(tuple(vertices), tuple(edges)))
                 break
-            v = w + 1 if copy[w] == 1 else w - 1  # the other copy
+            v = w ^ 1  # the other copy
+        else:
+            raise InternalDualityMismatch(
+                f"packing walk from X-vertex {x} repeats a vertex within {steps} steps"
+            )
     if len(paths) != k:
         raise InternalDualityMismatch(
             f"matching surplus {k} differs from the {len(paths)} X-paths walked"
@@ -146,9 +160,8 @@ class Solution:
         self.g = g
         self.x = xs
         self.threshold = threshold
-        self._aux = aux
         self._matcher = matcher
-        self.packing = _packing(aux, matcher)
+        self.packing = _packing(aux, xs, matcher)
         _check_packing(g, xs, self.packing.paths)
 
     @functools.cached_property
@@ -157,18 +170,22 @@ class Solution:
         `verify_certificate`.
 
         The A-set U of the auxiliary graph's Gallai-Edmonds partition is
-        translated by copy membership: T collects the owners of the copies 1
-        in U, S those of the copies 2, and an X-vertex in U, owning a single
-        copy, lands in both. The translation satisfies
-        U = p(T x {1}) ∪ p(S x {2}).
+        translated by copy: T collects the owners a >> 1 of the - copies 2v
+        in U, S those of the + copies 2v+1, and an X-vertex in U, whose ends
+        all land on 2v, goes to both. The translation satisfies
+        U = p(T x {-}) ∪ p(S x {+}).
         """
-        owner, copy = self._aux.owner, self._aux.copy
+        xs = self.x
         s, t = set(), set()
         for a in self._matcher.gallai_edmonds().a:
-            if copy[a] != 2:
-                t.add(owner[a])
-            if copy[a] != 1:
-                s.add(owner[a])
+            v = a >> 1
+            if v in xs:
+                s.add(v)
+                t.add(v)
+            elif a & 1:
+                s.add(v)
+            else:
+                t.add(v)
         k = self.packing.k
         cert = Certificate(frozenset(s), frozenset(t), k)
         check = verify_certificate(self.g, self.x, cert, k)
@@ -220,8 +237,9 @@ def solve(
     if k is not None:
         check_threshold(k)
     xs = g.check_vertex_set(x)
-    aux = build_auxiliary(g, xs)
-    return Solution(g, xs, k, aux, grow_matching(aux.graph, aux.base_matching))
+    aux = AuxiliaryGraph(g, xs)
+    matcher = grow_matching(aux.vertex_count, aux.us, aux.vs, range(aux.split_count))
+    return Solution(g, xs, k, aux, matcher)
 
 
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:

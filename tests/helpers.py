@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import Iterable
 
 from hypothesis import strategies as st
 
-from bidipath import MINUS, PLUS, BidirectedMultigraph, Multigraph, SignedPath, is_x_path
-from bidipath.auxiliary import AuxiliaryGraph, build_auxiliary
+from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, is_x_path
+from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.bgf import Instance
 from bidipath.core import restricted_components
 from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
+from bidipath.matching import GallaiEdmonds, _Matcher, grow_matching
 
 SIGNS = (MINUS, PLUS)
 
@@ -31,6 +34,65 @@ def complete_all_minus(n: int) -> BidirectedMultigraph:
         for v in range(u + 1, n):
             g.add_edge(u, MINUS, v, MINUS)
     return g.freeze()
+
+
+@dataclass(frozen=True)
+class Multigraph:
+    """A plain undirected multigraph: dense vertices, edge id = list index."""
+
+    vertex_count: int
+    endpoints: tuple[tuple[int, int], ...]
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.endpoints)
+
+
+def flat(h: Multigraph) -> tuple[int, list[int], list[int]]:
+    """h as the matcher takes it: vertex count and the two end lists."""
+    return h.vertex_count, [u for u, _ in h.endpoints], [v for _, v in h.endpoints]
+
+
+def auxiliary_multigraph(aux: AuxiliaryGraph) -> Multigraph:
+    return Multigraph(aux.vertex_count, tuple(zip(aux.us, aux.vs)))
+
+
+def is_matching(h: Multigraph, edges: Iterable[int]) -> bool:
+    """True iff the edge ids exist in h and no two of them share an endpoint."""
+    seen: set[int] = set()
+    for eid in edges:
+        if not 0 <= eid < h.edge_count:
+            return False
+        u, v = h.endpoints[eid]
+        if u in seen or v in seen:
+            return False
+        seen.add(u)
+        seen.add(v)
+    return True
+
+
+def grow(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:
+    """A matcher holding a maximum matching of h grown from the seed, which
+    must be a matching of h (ValueError otherwise)."""
+    seed_edges = frozenset(seed)
+    if not is_matching(h, seed_edges):
+        raise ValueError("seed is not a matching of the host graph")
+    return grow_matching(*flat(h), seed_edges)
+
+
+def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
+    """A maximum-cardinality matching of h, grown from the given seed matching.
+
+    A pair the search matched is represented by its lowest parallel edge id;
+    a seed edge whose pair the search never flipped is kept, whichever
+    parallel copy it is.
+    """
+    return grow(h, seed).matched_edges()
+
+
+def gallai_edmonds(h: Multigraph) -> GallaiEdmonds:
+    """The canonical partition (D, A, C) of h."""
+    return grow(h).gallai_edmonds()
 
 
 def random_instance(seed: int, max_n: int = 7, max_m: int = 14) -> Instance:
@@ -114,51 +176,57 @@ def tutte_berge_value(h: Multigraph, u) -> int:
     return len(us) + sum(len(c) // 2 for c in components_without(h, us))
 
 
-def copy_of(aux: AuxiliaryGraph, v: int, i: int) -> int:
-    """The projection map p: an X-vertex stays itself, any other vertex goes
-    to its copy i."""
-    a = aux.first[v]
-    return a if aux.copy[a] == 0 else a + i - 1
+def copy_of(x, v: int, i: int) -> int:
+    """The projection map p: copy 1 (the - ends) of a vertex v outside X is
+    2v and copy 2 (the + ends) is 2v+1; an X-vertex is 2v for both."""
+    return 2 * v + 1 if i == 2 and v not in x else 2 * v
 
 
 def lifted_edge(aux: AuxiliaryGraph, e: int) -> int:
     """The auxiliary edge that host edge e is rerouted to."""
-    return len(aux.split_edges) + e
+    return aux.split_count + e
 
 
-def lift_path(aux: AuxiliaryGraph, p: SignedPath) -> SignedPath:
-    """Map an X-path of the host to its base-alternating image, a path of
-    auxiliary vertex and edge ids; the inverse of project_path.
+def split_edge(aux: AuxiliaryGraph, v: int) -> int:
+    """The id of v's split edge, found by its end 2v among the split edges."""
+    return aux.us.index(2 * v, 0, aux.split_count)
+
+
+def lift_path(
+    g: BidirectedMultigraph, x, aux: AuxiliaryGraph, p: SignedPath
+) -> SignedPath:
+    """Map an X-path of g to its base-alternating image in the auxiliary
+    graph of (g, X), a path of auxiliary vertex and edge ids; the inverse of
+    project_path.
 
     At each internal vertex the path enters the copy matching the incoming
     sign, crosses the split edge, and leaves from the other copy; the image
     has 2l-1 edges, of which l-1 belong to the base matching.
     """
-    if not is_x_path(aux.host, aux.x, p):
+    if not is_x_path(g, x, p):
         raise ValueError("lift_path requires an X-path of the host graph")
-    verts = [copy_of(aux, p.vertices[0], 0)]
+    verts = [copy_of(x, p.vertices[0], 1)]
     edges: list[int] = []
     for i, eid in enumerate(p.edges):
         v = p.vertices[i + 1]
         edges.append(lifted_edge(aux, eid))
         if i + 1 < len(p.vertices) - 1:
-            c_in = 1 if aux.host.sign(v, eid) is MINUS else 2
-            verts.append(copy_of(aux, v, c_in))
-            edges.append(aux.split_edges[v])
-            verts.append(copy_of(aux, v, 3 - c_in))
+            c_in = 1 if g.sign(v, eid) is MINUS else 2
+            verts.append(copy_of(x, v, c_in))
+            edges.append(split_edge(aux, v))
+            verts.append(copy_of(x, v, 3 - c_in))
         else:
-            verts.append(copy_of(aux, v, 0))
+            verts.append(copy_of(x, v, 1))
     return SignedPath(tuple(verts), tuple(edges))
 
 
 def project_path(aux: AuxiliaryGraph, q: SignedPath) -> SignedPath:
-    """The host path of a base-alternating auxiliary X-path q: the owner of
-    its first vertex and of every vertex reached by a non-base edge, and the
-    host id of each non-base edge. The inverse of lift_path."""
-    owner, split_count = aux.owner, len(aux.split_edges)
+    """The host path of a base-alternating auxiliary X-path q: the owner
+    a >> 1 of its first vertex and of every vertex reached by a non-base
+    edge, and the host id of each non-base edge. The inverse of lift_path."""
     return SignedPath(
-        (owner[q.vertices[0]], *(owner[a] for a in q.vertices[1::2])),
-        tuple(e - split_count for e in q.edges[::2]),
+        (q.vertices[0] >> 1, *(a >> 1 for a in q.vertices[1::2])),
+        tuple(e - aux.split_count for e in q.edges[::2]),
     )
 
 
@@ -352,10 +420,13 @@ def verify_component_correspondence(g, x, s, t) -> bool:
     ts = g.check_vertex_set(t)
     if xs & ss != xs & ts:
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    aux = build_auxiliary(g, xs)
-    u_aux = {copy_of(aux, v, 1) for v in ts} | {copy_of(aux, v, 2) for v in ss}
+    aux = AuxiliaryGraph(g, xs)
+    u_aux = {copy_of(xs, v, 1) for v in ts} | {copy_of(xs, v, 2) for v in ss}
+    # The isolated ids 2v+1 of the X-vertices are no copies: leave them out too.
+    unused = {2 * v + 1 for v in xs}
     aux_families = {
-        frozenset(comp) for comp in components_without(aux.graph, u_aux)
+        frozenset(comp)
+        for comp in components_without(auxiliary_multigraph(aux), u_aux | unused)
     }
     marked = xs | ss | ts
     both = ss & ts
@@ -367,7 +438,7 @@ def verify_component_correspondence(g, x, s, t) -> bool:
         count += 1
         image: set[int] = set()
         for v in comp:
-            image.update(copy_of(aux, w, c) for w, c in gamma_image(g, xs, ss, ts, v))
+            image.update(copy_of(xs, w, c) for w, c in gamma_image(g, xs, ss, ts, v))
         inside = sum(1 for v in comp if v in marked)
         if len(image) != inside + 2 * (len(comp) - inside):
             return False

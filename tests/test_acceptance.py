@@ -14,7 +14,6 @@ from contextlib import contextmanager
 import pytest
 
 from bidipath import (
-    Multigraph,
     SignedPath,
     certificate,
     from_digraph,
@@ -23,10 +22,9 @@ from bidipath import (
     solve,
     verify_certificate,
 )
-from bidipath.auxiliary import build_auxiliary
+from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.core import delete_vertices
 from bidipath.errors import InternalDualityMismatch
-from bidipath.matching import gallai_edmonds, maximum_matching
 from bidipath.oracle import (
     brute_dual_min,
     brute_matching,
@@ -38,8 +36,10 @@ from helpers import (
     brute_directed_packing,
     complete_all_minus,
     directed_dual_min,
+    gallai_edmonds,
     gallai_min_bound,
     lift_path,
+    maximum_matching,
     project_path,
     random_admissible_pair,
     random_instance,
@@ -136,7 +136,7 @@ def test_criterion_5_matching_engine():
         for seed in range(500):
             h = random_multigraph(seed, max_n=10, max_m=14)
             matching = maximum_matching(h)
-            assert len(matching) == brute_matching(h)
+            assert len(matching) == brute_matching(h.vertex_count, h.endpoints)
             assert tutte_berge_value(h, gallai_edmonds(h).a) == len(matching)
 
 
@@ -149,10 +149,10 @@ def test_criterion_6_component_correspondence():
             assert verify_component_correspondence(inst.graph, inst.x, s, t)
 
 
-def _alternating_x_paths(aux, cap: int = 400) -> list[SignedPath]:
+def _alternating_x_paths(aux, x, cap: int = 400) -> list[SignedPath]:
     """Independent enumeration of base-alternating X-paths in the auxiliary graph."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(aux.graph.vertex_count)]
-    for eid, (u, v) in enumerate(aux.graph.endpoints):
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(aux.vertex_count)]
+    for eid, (u, v) in enumerate(zip(aux.us, aux.vs)):
         adjacency[u].append((eid, v))
         adjacency[v].append((eid, u))
     out: list[SignedPath] = []
@@ -162,9 +162,9 @@ def _alternating_x_paths(aux, cap: int = 400) -> list[SignedPath]:
             return
         v = verts[-1]
         for eid, w in adjacency[v]:
-            if (eid in aux.base_matching) != need_base or w in verts:
+            if (eid < aux.split_count) != need_base or w in verts:
                 continue
-            if aux.copy[w] == 0:
+            if w >> 1 in x:
                 if not need_base and w > verts[0]:
                     out.append(
                         SignedPath(tuple(verts + [w]), tuple(edges + [eid]))
@@ -172,9 +172,8 @@ def _alternating_x_paths(aux, cap: int = 400) -> list[SignedPath]:
                 continue
             extend(verts + [w], edges + [eid], not need_base)
 
-    for start, copy in enumerate(aux.copy):
-        if copy == 0:
-            extend([start], [], False)
+    for start in sorted(x):
+        extend([2 * start], [], False)
     return out
 
 
@@ -184,15 +183,15 @@ def test_criterion_7_theta_bijection():
         for seed in range(120):
             inst = random_instance(seed, max_n=6, max_m=10)
             g, x = inst.graph, inst.x
-            aux = build_auxiliary(g, x)
+            aux = AuxiliaryGraph(g, x)
             paths = enumerate_x_paths(g, x, limit=400)
-            lifted = [lift_path(aux, p) for p in paths]
+            lifted = [lift_path(g, x, aux, p) for p in paths]
             for p, q in zip(paths, lifted):
                 assert project_path(aux, q) == p
             checked_paths += len(paths)
-            alternating = _alternating_x_paths(aux)
+            alternating = _alternating_x_paths(aux, x)
             for q in alternating:
-                assert lift_path(aux, project_path(aux, q)) == q
+                assert lift_path(g, x, aux, project_path(aux, q)) == q
             # the bijection is onto: lifts and alternating paths coincide
             assert {(q.vertices, q.edges) for q in lifted} == {
                 (q.vertices, q.edges) for q in alternating
@@ -241,5 +240,5 @@ def test_criterion_8_reductions():
                         v += 1
                     edges.append((u, v))
             xs = frozenset(rng.sample(range(n), rng.randint(0, n)))
-            g = from_undirected(Multigraph(n, tuple(edges)))
+            g = from_undirected(n, edges)
             assert solve(g, xs).packing.k == gallai_min_bound(n, edges, xs)

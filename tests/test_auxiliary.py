@@ -1,52 +1,55 @@
-"""Auxiliary graph construction and the path bijection."""
+"""Auxiliary graph construction, its id map and the path bijection."""
 
 import pytest
 from hypothesis import given
 
-from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath
-from bidipath.auxiliary import build_auxiliary
+from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, solve
+from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.errors import UnknownVertex
-from bidipath.matching import is_matching
 from bidipath.oracle import enumerate_x_paths
 from helpers import (
+    auxiliary_multigraph,
     complete_all_minus,
     copy_of,
     graph_and_x,
+    is_matching,
     lift_path,
     lifted_edge,
     project_path,
+    split_edge,
 )
 
 
 def test_build_single_x_vertex():
     g = BidirectedMultigraph()
     x = g.add_vertices(1)[0]
-    aux = build_auxiliary(g, {x})
-    assert aux.graph.vertex_count == 1
-    assert aux.graph.edge_count == 0
-    assert aux.base_matching == frozenset()
+    aux = AuxiliaryGraph(g, frozenset({x}))
+    assert aux.vertex_count == 2  # 2x, and the isolated 2x+1
+    assert aux.us == aux.vs == []
+    assert aux.split_count == 0
 
 
 def test_build_splits_by_sign():
     g = BidirectedMultigraph()
     x, v = g.add_vertices(2)
     e = g.add_edge(x, MINUS, v, PLUS)
-    aux = build_auxiliary(g, {x})
-    assert aux.graph.vertex_count == 3
-    assert aux.graph.edge_count == 2
-    assert len(aux.base_matching) == 1
-    # sign + at v routes the lifted edge to copy 2
+    aux = AuxiliaryGraph(g, frozenset({x}))
+    assert aux.vertex_count == 4
+    assert len(aux.us) == len(aux.vs) == 2
+    assert aux.split_count == 1
+    assert (aux.us[0], aux.vs[0]) == (2 * v, 2 * v + 1)
+    # sign + at v routes the lifted edge to copy 2, which is 2v+1
     lifted = lifted_edge(aux, e)
-    ends = set(aux.graph.endpoints[lifted])
-    assert ends == {copy_of(aux, x, 1), copy_of(aux, v, 2)}
+    assert (aux.us[lifted], aux.vs[lifted]) == (2 * x, 2 * v + 1)
+    assert {aux.us[lifted], aux.vs[lifted]} == {copy_of({x}, x, 1), copy_of({x}, v, 2)}
 
 
 def test_build_identity_when_x_is_everything():
     g = complete_all_minus(5)
-    aux = build_auxiliary(g, range(5))
-    assert aux.graph.vertex_count == 5
-    assert aux.graph.edge_count == 10
-    assert aux.base_matching == frozenset()
+    aux = AuxiliaryGraph(g, frozenset(range(5)))
+    assert aux.vertex_count == 10
+    assert aux.split_count == 0
+    assert list(zip(aux.us, aux.vs)) == [(2 * u, 2 * v) for u, _, v, _ in g.edge_ends()]
 
 
 def test_build_counts_and_base_matching():
@@ -55,32 +58,36 @@ def test_build_counts_and_base_matching():
     g.add_edge(0, MINUS, 1, PLUS)
     g.add_edge(1, MINUS, 2, MINUS)
     g.add_edge(3, PLUS, 4, PLUS)
-    aux = build_auxiliary(g, {0, 2})
-    assert aux.graph.vertex_count == 2 + 2 * 3
-    assert aux.graph.edge_count == 3 + 3
-    assert is_matching(aux.graph, aux.base_matching)
-    assert len(aux.base_matching) == 3
+    aux = AuxiliaryGraph(g, frozenset({0, 2}))
+    assert aux.vertex_count == 2 * 5
+    assert len(aux.us) == len(aux.vs) == 3 + 3
+    base = range(aux.split_count)
+    assert is_matching(auxiliary_multigraph(aux), base)
+    assert len(base) == 3
+    assert [split_edge(aux, v) for v in (1, 3, 4)] == [0, 1, 2]
     # the lifted-edge map is a bijection onto the non-base edges
     lifted = {lifted_edge(aux, e) for e in range(g.edge_count)}
     assert len(lifted) == 3
-    assert lifted | aux.base_matching == set(range(6))
+    assert lifted | set(base) == set(range(6))
 
 
 def test_build_rejects_foreign_x():
+    # solve checks X before it builds the auxiliary graph.
     g = BidirectedMultigraph()
     g.add_vertices(1)
-    with pytest.raises(UnknownVertex):
-        build_auxiliary(g, {7})
+    with pytest.raises(UnknownVertex, match="vertex 7 does not exist"):
+        solve(g, {7})
 
 
 def test_lift_length_one_path():
     g = BidirectedMultigraph()
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, MINUS)
-    aux = build_auxiliary(g, {a, b})
-    q = lift_path(aux, SignedPath((a, b), (e,)))
+    x = frozenset({a, b})
+    q = lift_path(g, x, AuxiliaryGraph(g, x), SignedPath((a, b), (e,)))
     assert q.length == 1
-    assert q.edges == (lifted_edge(aux, e),)
+    assert q.vertices == (2 * a, 2 * b)
+    assert q.edges == (lifted_edge(AuxiliaryGraph(g, x), e),)
 
 
 def test_lift_routes_internal_copies_by_sign():
@@ -88,49 +95,53 @@ def test_lift_routes_internal_copies_by_sign():
     x1, v, x2 = g.add_vertices(3)
     e1 = g.add_edge(x1, MINUS, v, PLUS)
     e2 = g.add_edge(v, MINUS, x2, MINUS)
-    aux = build_auxiliary(g, {x1, x2})
-    q = lift_path(aux, SignedPath((x1, v, x2), (e1, e2)))
+    x = frozenset({x1, x2})
+    aux = AuxiliaryGraph(g, x)
+    q = lift_path(g, x, aux, SignedPath((x1, v, x2), (e1, e2)))
     # enter at copy 2 (sign +), cross the split edge, leave from copy 1
     assert q.vertices == (
-        copy_of(aux, x1, 1),
-        copy_of(aux, v, 2),
-        copy_of(aux, v, 1),
-        copy_of(aux, x2, 1),
+        copy_of(x, x1, 1),
+        copy_of(x, v, 2),
+        copy_of(x, v, 1),
+        copy_of(x, x2, 1),
     )
-    assert q.edges[1] == aux.split_edges[v]
+    assert q.vertices == (2 * x1, 2 * v + 1, 2 * v, 2 * x2)
+    assert q.edges[1] == split_edge(aux, v) == 0
 
 
 def test_lift_rejects_non_x_path():
     g = BidirectedMultigraph()
     a, b = g.add_vertices(2)
     e = g.add_edge(a, MINUS, b, MINUS)
-    aux = build_auxiliary(g, {a, b})
+    x = frozenset({a, b})
     with pytest.raises(ValueError, match="requires an X-path"):
-        lift_path(aux, SignedPath((a,), ()))
+        lift_path(g, x, AuxiliaryGraph(g, x), SignedPath((a,), ()))
     with pytest.raises(ValueError, match="requires an X-path"):
-        lift_path(build_auxiliary(g, {a}), SignedPath((a, b), (e,)))
+        lift_path(g, {a}, AuxiliaryGraph(g, frozenset({a})), SignedPath((a, b), (e,)))
 
 
 def test_project_single_non_base_edge():
     g = BidirectedMultigraph()
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, PLUS)
-    aux = build_auxiliary(g, {a, b})
-    q = SignedPath((copy_of(aux, a, 1), copy_of(aux, b, 1)), (lifted_edge(aux, e),))
+    x = frozenset({a, b})
+    aux = AuxiliaryGraph(g, x)
+    q = SignedPath((copy_of(x, a, 1), copy_of(x, b, 1)), (lifted_edge(aux, e),))
     assert project_path(aux, q) == SignedPath((a, b), (e,))
 
 
 @given(graph_and_x())
 def test_round_trip_and_edge_counts(gx):
     g, x = gx
-    aux = build_auxiliary(g, x)
+    aux = AuxiliaryGraph(g, x)
     split_count = g.vertex_count - len(x)
-    assert aux.graph.vertex_count == len(x) + 2 * split_count
-    assert aux.graph.edge_count == g.edge_count + split_count
+    assert aux.split_count == split_count
+    assert aux.vertex_count == 2 * g.vertex_count
+    assert len(aux.us) == len(aux.vs) == g.edge_count + split_count
     for p in enumerate_x_paths(g, x, limit=200):
-        q = lift_path(aux, p)
+        q = lift_path(g, x, aux, p)
         assert q.length == 2 * p.length - 1
-        in_base = sum(1 for e in q.edges if e in aux.base_matching)
+        in_base = sum(1 for e in q.edges if e < split_count)
         assert in_base == p.length - 1
         assert project_path(aux, q) == p
 
@@ -138,9 +149,9 @@ def test_round_trip_and_edge_counts(gx):
 @given(graph_and_x())
 def test_disjointness_preserved_both_ways(gx):
     g, x = gx
-    aux = build_auxiliary(g, x)
+    aux = AuxiliaryGraph(g, x)
     paths = enumerate_x_paths(g, x, limit=60)
-    lifted = [lift_path(aux, p) for p in paths]
+    lifted = [lift_path(g, x, aux, p) for p in paths]
     for i in range(len(paths)):
         for j in range(i + 1, len(paths)):
             host_disjoint = not (set(paths[i].vertices) & set(paths[j].vertices))
@@ -162,17 +173,28 @@ def test_flat_layout_of_host_and_auxiliary_graph(gx):
         assert (h.sign(u, e), h.sign(v, e)) == (sign_u, sign_v)
     assert list(h.edge_ends()) == ends
 
-    aux = build_auxiliary(g, x)
-    layout = sorted(
-        [(v, 0) for v in x] + [(v, c) for v in g.vertices() if v not in x for c in (1, 2)]
-    )
-    assert list(zip(aux.owner, aux.copy)) == layout
-    for v in g.vertices():
-        for c in (1, 2):
-            assert layout[copy_of(aux, v, c)] == (v, 0 if v in x else c)
-    split_count = g.vertex_count - len(x)
-    for e, (u, sign_u, v, sign_v) in enumerate(ends):
-        assert lifted_edge(aux, e) == split_count + e
-        a, b = aux.graph.endpoints[lifted_edge(aux, e)]
-        assert (aux.owner[a], aux.copy[a]) == (u, 0 if u in x else (1 if sign_u is MINUS else 2))
-        assert (aux.owner[b], aux.copy[b]) == (v, 0 if v in x else (1 if sign_v is MINUS else 2))
+    # Outside X, v's - ends land on 2v and its + ends on 2v+1, and its split
+    # edge (2v, 2v+1) comes before every host edge; an X-vertex's ends all
+    # land on 2v.
+    def lands(w, sign):
+        return 2 * w if w in x or sign is MINUS else 2 * w + 1
+
+    aux = AuxiliaryGraph(g, x)
+    split = [v for v in g.vertices() if v not in x]
+    assert aux.split_count == len(split)
+    assert list(zip(aux.us, aux.vs)) == [(2 * v, 2 * v + 1) for v in split] + [
+        (lands(u, sign_u), lands(v, sign_v)) for u, sign_u, v, sign_v in ends
+    ]
+    for e in range(len(ends)):
+        assert lifted_edge(aux, e) == len(split) + e
+
+
+@given(graph_and_x())
+def test_the_id_2v_plus_1_of_an_x_vertex_is_isolated_and_in_d(gx):
+    g, x = gx
+    aux = AuxiliaryGraph(g, x)
+    touched = set(aux.us) | set(aux.vs)
+    d = solve(g, x)._matcher.gallai_edmonds().d
+    for v in x:
+        assert 2 * v + 1 not in touched
+        assert 2 * v + 1 in d

@@ -429,6 +429,26 @@ def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+def test_a_packing_walk_caught_in_a_cycle_exits_3_by_name(tmp_path, capsys, monkeypatch):
+    # a = 0, u = 1, b = 2. Pointing 2a at u's + copy 2u+1, whose split edge
+    # leads back to 2u and on to 2u+1 again, makes the walk from a cycle.
+    path = tmp_path / "cycle.bgf"
+    path.write_text("v a\nv u\nv b\ne a - b +\nx a b\n")
+    grown = bidipath.solver.grow_matching
+
+    def cycling(*args):
+        matcher = grown(*args)
+        matcher.match[0] = 3
+        return matcher
+
+    monkeypatch.setattr("bidipath.solver.grow_matching", cycling)
+    assert main(["solve", str(path), "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "packing walk from X-vertex 0" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_a_lopsided_certificate_fails_the_hitting_set_audit_by_name(k5_file, capsys, monkeypatch):
     # An X-vertex in S only breaks X∩S = X∩T; the audit names that, exit 3.
     found = Solution.certificate.func
@@ -568,7 +588,7 @@ def test_a_certificate_that_fails_its_check_exits_3_with_the_reason(k5_file, cap
 def test_a_packing_that_fails_its_check_exits_3(k5_file, capsys, monkeypatch):
     # a-b and b-c (edges 0 and 4) are X-paths of K5, but they share b.
     shared = (bidipath.SignedPath((0, 1), (0,)), bidipath.SignedPath((1, 2), (4,)))
-    monkeypatch.setattr("bidipath.solver._packing", lambda aux, matcher: PackingResult(2, shared))
+    monkeypatch.setattr("bidipath.solver._packing", lambda *args: PackingResult(2, shared))
     assert main(["solve", k5_file, "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

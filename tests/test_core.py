@@ -8,7 +8,6 @@ from bidipath import (
     MINUS,
     PLUS,
     BidirectedMultigraph,
-    Multigraph,
     SignedPath,
     dual_value,
     from_digraph,
@@ -335,8 +334,7 @@ def test_weak_components_edgeless():
 
 
 def test_weak_components_path():
-    h = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
-    assert weak_components(h.vertex_count, h.endpoints) == [[0, 1, 2, 3]]
+    assert weak_components(4, ((0, 1), (1, 2), (2, 3))) == [[0, 1, 2, 3]]
 
 
 def test_weak_components_k5_minus_star():
@@ -406,7 +404,7 @@ def test_from_digraph_rejects_loop():
 
 
 def test_from_undirected_doubles_edges():
-    g = from_undirected(Multigraph(2, ((0, 1),)))
+    g = from_undirected(2, [(0, 1)])
     assert g.edge_count == 2
     assert {(g.sign(0, e), g.sign(1, e)) for e in (0, 1)} == {
         (MINUS, PLUS),
@@ -415,7 +413,7 @@ def test_from_undirected_doubles_edges():
 
 
 def test_from_undirected_path_alternates_through_middle():
-    g = from_undirected(Multigraph(3, ((0, 1), (1, 2))))
+    g = from_undirected(3, [(0, 1), (1, 2)])
     assert g.edge_count == 4
     valid = [
         SignedPath((0, 1, 2), (e1, e2))
@@ -427,8 +425,20 @@ def test_from_undirected_path_alternates_through_middle():
 
 
 def test_from_undirected_empty():
-    g = from_undirected(Multigraph(0, ()))
+    g = from_undirected(0, [])
     assert g.vertex_count == 0 and g.edge_count == 0
+
+
+def test_from_undirected_gives_each_pair_both_sign_orders_in_pair_order():
+    pairs = [(2, 0), (0, 1), (2, 0)]
+    g = from_undirected(3, pairs)
+    assert g.vertex_count == 3
+    assert list(g.edge_ends()) == [
+        (2, MINUS, 0, PLUS), (2, PLUS, 0, MINUS),
+        (0, MINUS, 1, PLUS), (0, PLUS, 1, MINUS),
+        (2, MINUS, 0, PLUS), (2, PLUS, 0, MINUS),
+    ]
+    assert list(from_undirected(3, tuple(pairs)).edge_ends()) == list(g.edge_ends())
 
 
 def test_delete_vertices_relabels_survivors():

@@ -6,7 +6,6 @@ from bidipath import (
     MINUS,
     PLUS,
     BidirectedMultigraph,
-    Multigraph,
     SignedPath,
     dual_value,
     is_x_path,
@@ -179,18 +178,16 @@ def test_brute_dual_value_agrees_with_reference_formula():
 
 
 def test_brute_matching_examples():
-    k3 = Multigraph(3, ((0, 1), (1, 2), (0, 2)))
-    assert brute_matching(k3) == 1
-    k5 = Multigraph(5, tuple((u, v) for u in range(5) for v in range(u + 1, 5)))
-    assert brute_matching(k5) == 2
-    p4 = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
-    assert brute_matching(p4) == 2
+    assert brute_matching(3, ((0, 1), (1, 2), (0, 2))) == 1
+    assert brute_matching(5, [(u, v) for u in range(5) for v in range(u + 1, 5)]) == 2
+    assert brute_matching(4, ((0, 1), (1, 2), (2, 3))) == 2
+    assert brute_matching(4, ((0, 1), (1, 0), (2, 3), (3, 2))) == 2  # parallel edges
+    assert brute_matching(3, ()) == 0
 
 
 def test_brute_matching_guard():
-    h = Multigraph(30, tuple((i, i + 1) for i in range(25)))
     with pytest.raises(LimitExceeded):
-        brute_matching(h)
+        brute_matching(30, [(i, i + 1) for i in range(25)])
 
 
 def test_has_x_path_walks_chains_deeper_than_the_recursion_limit():

@@ -20,7 +20,7 @@ from bidipath import (
     solve,
     verify_certificate,
 )
-from bidipath.auxiliary import build_auxiliary
+from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.core import delete_vertices
 from bidipath.errors import (
     InternalDualityMismatch,
@@ -28,17 +28,21 @@ from bidipath.errors import (
     SideConditionViolated,
     UnknownVertex,
 )
-from bidipath.matching import _Matcher, gallai_edmonds, maximum_matching
+from bidipath.matching import _Matcher
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
 from bidipath.solver import _check_packing, _packing
 from helpers import (
+    auxiliary_multigraph,
     complete_all_minus,
     copy_of,
+    gallai_edmonds,
     gamma_image,
     lifted_edge,
+    maximum_matching,
     random_admissible_pair,
     random_instance,
     random_multigraph,
+    split_edge,
     verify_component_correspondence,
 )
 
@@ -116,10 +120,10 @@ def test_packing_check_names_the_failed_check():
 
 def _walk(g, x, seed):
     """The packing read off a matcher holding the given auxiliary edges."""
-    aux = build_auxiliary(g, x)
-    matcher = _Matcher(aux.graph)
+    aux = AuxiliaryGraph(g, frozenset(x))
+    matcher = _Matcher(aux.vertex_count, aux.us, aux.vs)
     matcher.seed(seed(aux))
-    return aux, matcher, _packing(aux, matcher)
+    return aux, matcher, _packing(aux, frozenset(x), matcher)
 
 
 def test_walk_takes_an_x_x_edge():
@@ -151,8 +155,8 @@ def test_walk_passes_a_split_edge_both_matchings_hold():
     w = g.add_vertices(1)[0]
     g.add_edge(w, PLUS, 0, PLUS)  # w hangs off u and lies on no X-path
     solution = solve(g, x)
-    aux = build_auxiliary(g, x)
-    assert aux.split_edges[w] in solution._matcher.matched_edges()
+    aux = AuxiliaryGraph(g, frozenset(x))
+    assert split_edge(aux, w) in solution._matcher.matched_edges()
     assert solution.packing == PackingResult(1, (SignedPath((1, 0, 2, 3), (2, 1, 0)),))
 
 
@@ -163,10 +167,9 @@ def test_walk_that_dead_ends_at_an_exposed_copy_is_dropped():
     a, v, b, c = g.add_vertices(4)
     g.add_edge(a, MINUS, v, MINUS)
     g.add_edge(b, MINUS, c, PLUS)
-    aux, matcher, packing = _walk(
-        g, {a, b, c}, lambda aux: {lifted_edge(aux, 0), lifted_edge(aux, 1)}
-    )
-    assert matcher.match[copy_of(aux, v, 2)] == -1
+    x = {a, b, c}
+    aux, matcher, packing = _walk(g, x, lambda aux: {lifted_edge(aux, 0), lifted_edge(aux, 1)})
+    assert matcher.match[copy_of(x, v, 2)] == -1
     assert packing == PackingResult(1, (SignedPath((b, c), (1,)),))
 
 
@@ -178,11 +181,12 @@ def test_walk_never_enters_an_alternating_cycle_without_x():
     g.add_edge(u, MINUS, v, MINUS)
     g.add_edge(u, PLUS, v, PLUS)
     g.add_edge(a, MINUS, b, MINUS)
+    x = {a, b}
     aux, matcher, packing = _walk(
-        g, {a, b}, lambda aux: {lifted_edge(aux, e) for e in range(g.edge_count)}
+        g, x, lambda aux: {lifted_edge(aux, e) for e in range(g.edge_count)}
     )
-    assert matcher.match[copy_of(aux, u, 1)] == copy_of(aux, v, 1)
-    assert matcher.match[copy_of(aux, u, 2)] == copy_of(aux, v, 2)
+    assert matcher.match[copy_of(x, u, 1)] == copy_of(x, v, 1)
+    assert matcher.match[copy_of(x, u, 2)] == copy_of(x, v, 2)
     assert packing == PackingResult(1, (SignedPath((a, b), (2,)),))
 
 
@@ -402,10 +406,10 @@ def test_certificate_matches_brute_dual_everywhere_it_applies():
 def _two_pass_certificate(g, x) -> Certificate:
     """The certificate from a second auxiliary graph and a fresh, unseeded
     matching, translated as Solution.certificate does."""
-    aux = build_auxiliary(g, x)
-    u = gallai_edmonds(aux.graph).a
-    s = frozenset(v for v in g.vertices() if copy_of(aux, v, 2) in u)
-    t = frozenset(v for v in g.vertices() if copy_of(aux, v, 1) in u)
+    aux = AuxiliaryGraph(g, frozenset(x))
+    u = gallai_edmonds(auxiliary_multigraph(aux)).a
+    s = frozenset(v for v in g.vertices() if copy_of(x, v, 2) in u)
+    t = frozenset(v for v in g.vertices() if copy_of(x, v, 1) in u)
     return Certificate(s, t, dual_value(g, x, s, t))
 
 
