@@ -3,8 +3,8 @@
 A bidirected multigraph assigns a sign to each end of each edge; paths must
 alternate signs at internal vertices. This package computes a maximum set
 of pairwise disjoint X-paths, a matching-dual certificate (S, T) proving
-maximality, and, below a threshold k, a hitting set of at most 2k-2
-vertices meeting every X-path.
+maximality, and a hitting set of at most 2k - |S∩T| vertices meeting every
+X-path, where k is the packing size: the Erdős-Pósa pair of every instance.
 """
 
 from .bgf import Instance, format_instance, parse_instance

@@ -19,7 +19,6 @@ from .errors import (
     BidipathError,
     DuplicateVertex,
     InternalDualityMismatch,
-    InvalidK,
     InvalidParameter,
     LimitExceeded,
     LoopRejected,
@@ -27,7 +26,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import generate_instance, parse_sign_dist
-from .solver import check_threshold, solve
+from .solver import solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,12 +113,16 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
+
+
 def _cmd_hitting_set(args) -> int:
-    check_threshold(args.k)
+    _check_k(args.k)
     instance = parse_instance(_read_text(args.instance))
-    solution = solve(instance.graph, instance.x, args.k)
-    result = solution.hitting_set  # reading it audits Y
-    if result is None:
+    solution = solve(instance.graph, instance.x)
+    if solution.packing.k >= args.k:  # the dual is never read
         shown = solution.packing.paths[: args.k]
         if args.format == "machine":
             print("outcome: packing")
@@ -131,6 +134,7 @@ def _cmd_hitting_set(args) -> int:
             for i, path in enumerate(shown, start=1):
                 print(f"  path {i}: {_render_path_human(instance, path)}")
         return EXIT_OK
+    result = solution.hitting_set  # reading it audits Y
     if args.format == "machine":
         print("outcome: hitting-set")
         print(f"k: {args.k}")
@@ -191,20 +195,17 @@ def _cmd_export_dot(args) -> int:
     if args.overlay == "hitting-set":
         if args.k is None:
             raise InvalidParameter("--overlay hitting-set requires -k")
-        check_threshold(args.k)
+        _check_k(args.k)
     instance = parse_instance(_read_text(args.instance))
     packing = cert = hitting = None
     if args.overlay is not None:
-        threshold = args.k if args.overlay == "hitting-set" else None
-        solution = solve(instance.graph, instance.x, threshold)
-        if args.overlay == "paths":
-            packing = solution.packing
-        elif args.overlay == "certificate":
+        solution = solve(instance.graph, instance.x)
+        if args.overlay == "certificate":
             cert = solution.certificate
+        elif args.overlay == "paths" or solution.packing.k >= args.k:
+            packing = solution.packing
         else:
             hitting = solution.hitting_set
-            if hitting is None:
-                packing = solution.packing
     sys.stdout.write(export_dot(instance, packing, cert, hitting))
     return EXIT_OK
 
@@ -287,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hitting-set", help="k disjoint paths or a hitting set of size <= 2k-2")
     p.add_argument("instance", help="BGF file, or - for stdin")
-    p.add_argument("-k", type=int, required=True, help="path-count threshold (k >= 1)")
+    p.add_argument("-k", type=int, required=True, help="number of disjoint paths asked for (k >= 1)")
     add_format(p)
     p.set_defaults(func=_cmd_hitting_set)
 
@@ -311,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="render the instance as DOT")
     p.add_argument("instance", help="BGF file, or - for stdin")
     p.add_argument("--overlay", choices=("paths", "certificate", "hitting-set"))
-    p.add_argument("-k", type=int, help="threshold for the hitting-set overlay")
+    p.add_argument("-k", type=int, help="path count for the hitting-set overlay")
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("verify", help="cross-check the solver against the oracles")
@@ -348,16 +349,10 @@ def _run(argv) -> int:
     except _PARSE_ERRORS as exc:
         print(f"bidipath: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InvalidParameter, InvalidK) as exc:
-        print(f"bidipath: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InternalDualityMismatch as exc:
         print(f"bidipath: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:  # an input file that cannot be read
-        print(f"bidipath: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BidipathError as exc:
+    except (OSError, BidipathError) as exc:  # OSError: an unreadable input file
         print(f"bidipath: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # any other escape is a bug: one line, no traceback

@@ -25,10 +25,6 @@ class SideConditionViolated(BidipathError):
     """The pair (S, T) does not satisfy X ∩ S = X ∩ T."""
 
 
-class InvalidK(BidipathError):
-    """The requested threshold k is outside the admissible range."""
-
-
 class InvalidParameter(BidipathError):
     """A generator or CLI parameter is malformed or out of range."""
 

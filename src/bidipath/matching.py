@@ -54,6 +54,7 @@ class _Matcher:
         self.even = [False] * n
         self.parent = [-1] * n
         self.base = list(range(n))
+        self.steps = range(n)  # the bound of every walk up the forest
 
     def seed(self, edges: Iterable[int]) -> None:
         """Match the ends of the given edges, which must form a matching."""
@@ -64,31 +65,46 @@ class _Matcher:
             match[v] = u
             mate_edge[u] = mate_edge[v] = eid
 
+    def _cycling(self, walk: str, v: int) -> InternalDualityMismatch:
+        """A walk up the forest meets each of the n vertices at most once."""
+        return InternalDualityMismatch(
+            f"{walk} walk from vertex {v} repeats a vertex within {self.n} steps"
+        )
+
     def _lca(self, a: int, b: int) -> int:
-        match, parent, base = self.match, self.parent, self.base
+        match, parent, base, steps = self.match, self.parent, self.base, self.steps
         seen = set()
         v = a
-        while True:
+        for _ in steps:
             v = base[v]
             seen.add(v)
             if match[v] == -1:
                 break
             v = parent[match[v]]
+        else:
+            raise self._cycling("lca", a)
         v = b
-        while True:
+        for _ in steps:
             v = base[v]
             if v in seen:
                 return v
             v = parent[match[v]]
+        else:
+            raise self._cycling("lca", b)
 
     def _mark_path(self, v: int, b: int, child: int, blossom: set[int]) -> None:
         match, parent, base = self.match, self.parent, self.base
-        while base[v] != b:
+        start = v
+        for _ in self.steps:
+            if base[v] == b:
+                break
             blossom.add(base[v])
             blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
+        else:
+            raise self._cycling("mark-path", start)
 
     def _shrink(
         self, v: int, to: int, members: dict[int, list[int]], queue: deque[int]
@@ -122,13 +138,18 @@ class _Matcher:
         """Flip the matching along the tree path from v, an odd vertex or
         the old mate of an even one, up to its root."""
         match, mate_edge, parent = self.match, self.mate_edge, self.parent
-        while v != -1:
+        start = v
+        for _ in self.steps:
+            if v == -1:
+                break
             pv = parent[v]
             next_v = match[pv]
             match[pv] = v
             match[v] = pv
             mate_edge[pv] = mate_edge[v] = -1
             v = next_v
+        else:
+            raise self._cycling("flip", start)
 
     def run(self) -> None:
         """Grow the forest until no augmenting path is left.

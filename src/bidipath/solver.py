@@ -7,9 +7,9 @@ X-vertices (checked once on g as pairwise disjoint X-paths), and translate
 the A-set of the same matching's Gallai-Edmonds partition into a vertex-set
 pair (S, T) whose dual bound equals the packing size. Auxiliary vertex a
 belongs to host vertex a >> 1; outside X, a & 1 is 0 on its - copy and 1 on
-its + copy. When fewer than k paths exist, a leave-one-out selection over
-the restricted graph's components yields a hitting set Y of size at most
-2k-2, audited on g by `verify_certificate` before it is returned.
+its + copy. Leave-one-out over the restricted graph's components turns
+(S, T) into a hitting set Y of at most 2k - |S∩T| vertices, audited on g by
+`verify_certificate` before it is returned.
 `certificate(g, X)` is the one view that returns a single part of the
 answer.
 """
@@ -29,7 +29,7 @@ from .core import (
     is_x_path,
     restricted_components,
 )
-from .errors import InternalDualityMismatch, InvalidK, SideConditionViolated, UnknownVertex
+from .errors import InternalDualityMismatch, SideConditionViolated, UnknownVertex
 from .matching import _Matcher, grow_matching
 
 
@@ -52,7 +52,7 @@ class Certificate:
 
 @dataclass(frozen=True)
 class HittingSet:
-    """A vertex set of size at most 2k-2 meeting every X-path.
+    """At most 2k - |S∩T| vertices meeting every X-path, k the packing size.
 
     (S, T) is the instance's certificate. Y contains S∩T and leaves at most
     one vertex of X∪S∪T in each component of the restricted graph, so
@@ -63,7 +63,6 @@ class HittingSet:
     """
 
     y: frozenset[VertexId]
-    k: int
     s: frozenset[VertexId]
     t: frozenset[VertexId]
 
@@ -145,21 +144,19 @@ class Solution:
 
     The packing is read off the matching at once and checked on g as
     pairwise disjoint X-paths. The dual pair (S, T) is read off the same
-    matching's Gallai-Edmonds partition on first use, and the hitting set,
-    for a threshold above the packing size, from that pair.
+    matching's Gallai-Edmonds partition on first use, and the hitting set
+    from that pair.
     """
 
     def __init__(
         self,
         g: BidirectedMultigraph,
         xs: frozenset[VertexId],
-        threshold: int | None,
         aux: AuxiliaryGraph,
         matcher: _Matcher,
     ):
         self.g = g
         self.x = xs
-        self.threshold = threshold
         self._matcher = matcher
         self.packing = _packing(aux, xs, matcher)
         _check_packing(g, xs, self.packing.paths)
@@ -194,25 +191,25 @@ class Solution:
         return cert
 
     @functools.cached_property
-    def hitting_set(self) -> HittingSet | None:
-        """For a threshold k above the packing size, a vertex set Y with
-        |Y| <= 2k-2 meeting every X-path; None otherwise.
+    def hitting_set(self) -> HittingSet:
+        """A vertex set Y with |Y| <= 2k - |S∩T| meeting every X-path, for
+        the packing size k.
 
         Y combines S∩T with, per restricted component, all but the minimum-id
-        member of its marked vertices, audited on g before it is returned.
+        member of its marked vertices, audited on g before it is returned. A
+        component with m marked vertices adds m - 1 <= 2⌊m/2⌋, and the dual
+        value k is |S∩T| plus the sum of the ⌊m/2⌋.
         """
-        k = self.threshold
-        if k is None or self.packing.k >= k:
-            return None
         cert = self.certificate
         marked = self.x | cert.s | cert.t
         y = set(cert.s & cert.t)
         for comp in restricted_components(self.g, cert.s, cert.t):
             members = [v for v in comp if v in marked]
             y.update(members[1:])
-        if len(y) > 2 * k - 2:
+        bound = 2 * self.packing.k - len(cert.s & cert.t)
+        if len(y) > bound:
             raise InternalDualityMismatch(
-                f"hitting set of size {len(y)} exceeds the bound {2 * k - 2}"
+                f"hitting set of size {len(y)} exceeds the bound 2k - |S∩T| = {bound}"
             )
         ys = frozenset(y)
         audit = verify_certificate(
@@ -220,26 +217,16 @@ class Solution:
         )
         if not audit:
             raise InternalDualityMismatch(f"hitting-set audit failed: {audit.reason}")
-        return HittingSet(ys, k, cert.s, cert.t)
+        return HittingSet(ys, cert.s, cert.t)
 
 
-def check_threshold(k: int) -> None:
-    """Reject a hitting-set threshold below 1, whose bound 2k-2 is void."""
-    if k < 1:
-        raise InvalidK("the hitting-set bound 2k-2 requires k >= 1")
-
-
-def solve(
-    g: BidirectedMultigraph, x: Iterable[VertexId], k: int | None = None
-) -> Solution:
-    """Solve (g, X) once: the packing, and on demand its dual pair and, for
-    a threshold k >= 1, a hitting set when fewer than k paths exist."""
-    if k is not None:
-        check_threshold(k)
+def solve(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Solution:
+    """Solve (g, X) once: the packing, and on demand its dual pair and the
+    hitting set."""
     xs = g.check_vertex_set(x)
     aux = AuxiliaryGraph(g, xs)
     matcher = grow_matching(aux.vertex_count, aux.us, aux.vs, range(aux.split_count))
-    return Solution(g, xs, k, aux, matcher)
+    return Solution(g, xs, aux, matcher)
 
 
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:

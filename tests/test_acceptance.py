@@ -99,21 +99,20 @@ def test_criterion_3_erdos_posa_bound(corpus, solved):
     with criterion("C3 (hitting set or packing for every k)"):
         for inst, k_opt in zip(corpus, solved):
             g, x = inst.graph, inst.x
-            for k in range(1, k_opt + 3):
-                solution = solve(g, x, k)
-                result = solution.hitting_set
-                if result is None:
-                    assert solution.packing.k >= k
-                    used: set[int] = set()
-                    for path in solution.packing.paths[:k]:
-                        assert is_x_path(g, x, path)
-                        assert not (set(path.vertices) & used)
-                        used |= set(path.vertices)
-                else:
-                    assert len(result.y) <= 2 * k - 2
-                    sub, remap = delete_vertices(g, result.y)
-                    surviving_x = {remap[v] for v in x if v in remap}
-                    assert not has_x_path(sub, surviving_x)
+            solution = solve(g, x)
+            assert solution.packing.k == k_opt
+            used: set[int] = set()
+            for path in solution.packing.paths:
+                assert is_x_path(g, x, path)
+                assert not (set(path.vertices) & used)
+                used |= set(path.vertices)
+            # One Y answers every k > k_opt.
+            result = solution.hitting_set
+            for k in range(k_opt + 1, k_opt + 3):
+                assert len(result.y) <= 2 * k - 2
+            sub, remap = delete_vertices(g, result.y)
+            surviving_x = {remap[v] for v in x if v in remap}
+            assert not has_x_path(sub, surviving_x)
 
 
 def test_criterion_4_tightness_family():

@@ -1,5 +1,6 @@
 """The public surface: `bidipath.__all__`, and the README's library example."""
 
+import dataclasses
 import importlib
 import re
 from pathlib import Path
@@ -46,8 +47,8 @@ DELETED = {
         "TutteBergeWitness", "tutte_berge_witness", "tutte_berge_value", "components_without",
         "is_matching", "maximum_matching", "gallai_edmonds",
     ],
-    "solver": ["max_disjoint_x_paths", "hitting_set"],
-    "errors": ["NotAnXPath", "NotAlternating", "EndpointsNotInX", "InvalidSeed"],
+    "solver": ["max_disjoint_x_paths", "hitting_set", "check_threshold"],
+    "errors": ["NotAnXPath", "NotAlternating", "EndpointsNotInX", "InvalidSeed", "InvalidK"],
 }
 DELETED_MEMBERS = {
     ("auxiliary", "AuxiliaryGraph"): ["aux_vertices", "p", "lifted"],
@@ -82,6 +83,10 @@ def test_the_auxiliary_graph_holds_only_its_counts_and_two_edge_lists():
     assert vars(aux) == {
         "vertex_count": 6, "split_count": 1, "us": [2, 0, 2], "vs": [3, 3, 4],
     }
+
+
+def test_a_hitting_set_holds_y_and_its_certificate_only():
+    assert [f.name for f in dataclasses.fields(bidipath.HittingSet)] == ["y", "s", "t"]
 
 
 def test_readme_library_example_runs():

@@ -396,7 +396,7 @@ def test_audit_value_equals_the_literal_evaluation_on_g_minus_y(gx, rng):
 
     literal = dual_value(rest, kept(x), kept(s), kept(t))
     assert dual_value(g, x, s | y, t | y) == len(y) + literal
-    result = HittingSet(y, 1, frozenset(s), frozenset(t))
+    result = HittingSet(y, frozenset(s), frozenset(t))
     assert audit_clear(g, x, result) == (literal == 0)
 
 
@@ -404,11 +404,10 @@ def test_putting_back_a_vertex_of_y_that_reopens_an_x_path_fails_the_audit():
     failed = 0
     for seed in range(150):
         inst = random_instance(seed, max_n=8)
-        k = solve(inst.graph, inst.x).packing.k + 1
-        result = solve(inst.graph, inst.x, k).hitting_set
+        result = solve(inst.graph, inst.x).hitting_set
         assert audit_clear(inst.graph, inst.x, result)
         for v in result.y:
-            fewer = HittingSet(result.y - {v}, k, result.s, result.t)
+            fewer = HittingSet(result.y - {v}, result.s, result.t)
             # Weak duality: a surviving X-path gives g - Y a positive value.
             # Y ⊇ S∩T, so a vertex of S∩T left out adds 1 to that value.
             if v in result.s & result.t or has_x_path(inst.graph, inst.x, fewer.y):
@@ -427,6 +426,40 @@ def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
     assert captured.out == ""  # a failed answer is never printed
     assert "hitting-set audit" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_a_selection_keeping_every_marked_vertex_fails_the_bound_by_name(
+    k5_file, capsys, monkeypatch
+):
+    # Listing each vertex twice puts every marked vertex of a component in Y:
+    # all five of K5's, one more than 2k - |S∩T| = 4.
+    monkeypatch.setattr(
+        "bidipath.solver.restricted_components",
+        lambda g, s, t: [[v, v] for v in g.vertices()],
+    )
+    assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "bidipath: internal assertion failed: "
+        "hitting set of size 5 exceeds the bound 2k - |S∩T| = 4\n"
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_every_k_above_the_packing_size_gets_the_same_y(tmp_path, capsys, seed):
+    path = tmp_path / "inst.bgf"
+    path.write_text(format_instance(generate_instance(300, 900, 0.2, None, seed)))
+    assert main(["solve", str(path), "--format", "machine"]) == 0
+    k = int(machine_lines(capsys.readouterr().out)["k"][0])
+    answers = []
+    for above in (1, 7):
+        argv = ["hitting-set", str(path), "-k", str(k + above), "--format", "machine"]
+        assert main(argv) == 0
+        answers.append(machine_lines(capsys.readouterr().out))
+    assert answers[0]["y"] == answers[1]["y"] and answers[0]["y"][0]
+    assert answers[0]["size"] == answers[1]["size"]
+    assert [a["bound"] for a in answers] == [[str(2 * k)], [str(2 * k + 12)]]
 
 
 def test_a_packing_walk_caught_in_a_cycle_exits_3_by_name(tmp_path, capsys, monkeypatch):

@@ -247,3 +247,30 @@ def test_a_corrupted_forest_names_the_broken_condition(h, labels, v, value, cond
     getattr(matcher, labels)[v] = value
     with pytest.raises(InternalDualityMismatch, match=f"^gallai-edmonds: {condition}$"):
         matcher.gallai_edmonds()
+
+
+def cyclic_forest() -> _Matcher:
+    """Vertices 0 and 1 matched, and each the parent of the other: every walk
+    up the tree from either goes round the pair forever."""
+    matcher = _Matcher(4, [0], [1])
+    matcher.seed([0])
+    matcher.parent[0], matcher.parent[1] = 1, 0
+    return matcher
+
+
+@pytest.mark.parametrize(
+    "walk, name",
+    [
+        pytest.param(lambda m: m._lca(0, 2), "lca walk from vertex 0", id="lca-from-a"),
+        pytest.param(lambda m: m._lca(2, 1), "lca walk from vertex 1", id="lca-from-b"),
+        pytest.param(
+            lambda m: m._mark_path(0, 2, 3, set()), "mark-path walk from vertex 0", id="mark-path"
+        ),
+        pytest.param(lambda m: m._flip(1), "flip walk from vertex 1", id="flip"),
+    ],
+)
+def test_a_walk_caught_in_a_cycle_names_itself(walk, name):
+    with pytest.raises(
+        InternalDualityMismatch, match=f"^{name} repeats a vertex within 4 steps$"
+    ):
+        walk(cyclic_forest())

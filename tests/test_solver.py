@@ -4,6 +4,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bidipath import (
     MINUS,
@@ -21,10 +23,11 @@ from bidipath import (
     verify_certificate,
 )
 from bidipath.auxiliary import AuxiliaryGraph
+from bidipath.bgf import Instance, format_instance
+from bidipath.cli import main
 from bidipath.core import delete_vertices
 from bidipath.errors import (
     InternalDualityMismatch,
-    InvalidK,
     SideConditionViolated,
     UnknownVertex,
 )
@@ -265,10 +268,23 @@ def test_correspondence_on_random_admissible_pairs():
         assert verify_component_correspondence(inst.graph, inst.x, s, t)
 
 
+BAD_K = "bidipath: the hitting-set bound 2k-2 requires k >= 1\n"
+
+
+def instance_file(tmp_path, g, x) -> str:
+    path = tmp_path / "instance.bgf"
+    path.write_text(format_instance(Instance.from_graph(g, x)))
+    return str(path)
+
+
+def no_dual(self):
+    raise AssertionError("the Gallai-Edmonds partition was read")
+
+
 def test_hitting_set_k5_remark_instance():
     g = complete_all_minus(5)
-    result = solve(g, range(5), 3).hitting_set
-    assert len(result.y) == 4
+    result = solve(g, range(5)).hitting_set
+    assert len(result.y) == 4 == 2 * 3 - 2  # k = 2 paths, so the bound 2k-2 at k = 3
     assert not has_x_path(g, range(5), avoid=result.y)
 
 
@@ -280,44 +296,69 @@ def test_hitting_set_is_audited_before_it_is_returned(monkeypatch):
     )
     g = complete_all_minus(5)
     with pytest.raises(InternalDualityMismatch, match="hitting-set audit failed"):
-        solve(g, range(5), 3).hitting_set
+        solve(g, range(5)).hitting_set
 
 
-def test_hitting_set_returns_packing_when_enough_paths():
-    g = complete_all_minus(5)
-    solution = solve(g, range(5), 2)
-    assert solution.hitting_set is None
-    assert solution.packing.k == 2
+def test_hitting_set_returns_packing_when_enough_paths(tmp_path, capsys, monkeypatch):
+    # K5 has two disjoint X-paths, so `hitting-set -k 2` prints them and
+    # never builds the dual, which is read off the Gallai-Edmonds partition.
+    monkeypatch.setattr(_Matcher, "gallai_edmonds", no_dual)
+    path = instance_file(tmp_path, complete_all_minus(5), range(5))
+    assert main(["hitting-set", path, "-k", "2", "--format", "machine"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["outcome: packing", "k: 2"]
+    assert len(out) == 4 and all(line.startswith("path: ") for line in out[2:])
+
+
+# The sign distributions of the four benchmark families, with their |X|/n.
+SIGN_FAMILIES = [
+    (None, 0.2),
+    ({"--": 0, "-+": 1, "+-": 0, "++": 0}, 0.1),
+    ({"--": 1, "-+": 0, "+-": 0, "++": 1}, 0.2),
+    ({"--": 3, "-+": 1, "+-": 1, "++": 1}, 0.2),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SIGN_FAMILIES),
+    st.integers(5, 150),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+)
+def test_hitting_set_meets_the_sharp_bound_on_the_generate_families(family, n, ratio, seed):
+    sign_dist, x_frac = family
+    inst = generate_instance(n, ratio * n, x_frac, sign_dist, seed)
+    solution = solve(inst.graph, inst.x)
+    result = solution.hitting_set
+    assert (result.s, result.t) == (solution.certificate.s, solution.certificate.t)
+    assert len(result.y) <= 2 * solution.packing.k - len(result.s & result.t)
 
 
 def test_hitting_set_empty_when_no_paths_at_k1():
     g = BidirectedMultigraph()
     g.add_vertices(3)
-    result = solve(g, {0, 1}, 1).hitting_set
+    result = solve(g, {0, 1}).hitting_set
     assert result.y == frozenset()
 
 
-def test_hitting_set_rejects_k_zero():
-    g = complete_all_minus(3)
-    with pytest.raises(InvalidK):
-        solve(g, range(3), 0)
+def test_hitting_set_rejects_k_zero(tmp_path, capsys):
+    path = instance_file(tmp_path, complete_all_minus(3), range(3))
+    assert main(["hitting-set", path, "-k", "0"]) == 1
+    assert capsys.readouterr() == ("", BAD_K)
 
 
 def test_hitting_set_random_instances_audited_by_oracle():
     for seed in range(120):
         inst = random_instance(seed, max_n=8)
         g, x = inst.graph, inst.x
-        k_opt = solve(g, x).packing.k
-        for k in range(1, k_opt + 3):
-            solution = solve(g, x, k)
-            result = solution.hitting_set
-            if result is None:
-                assert solution.packing.k >= k
-            else:
-                assert len(result.y) <= 2 * k - 2
-                sub, remap = delete_vertices(g, result.y)
-                remaining_x = {remap[v] for v in x if v in remap}
-                assert enumerate_x_paths(sub, remaining_x, limit=50) == []
+        solution = solve(g, x)
+        k_opt, result = solution.packing.k, solution.hitting_set
+        assert len(result.y) <= 2 * k_opt - len(result.s & result.t)
+        assert len(result.y) <= 2 * (k_opt + 1) - 2  # hence 2k-2 for every k > k_opt
+        sub, remap = delete_vertices(g, result.y)
+        remaining_x = {remap[v] for v in x if v in remap}
+        assert enumerate_x_paths(sub, remaining_x, limit=50) == []
 
 
 def test_has_x_path_edgeless():
@@ -382,9 +423,7 @@ def test_enlarging_y_never_creates_an_x_path():
     for seed in range(50):
         inst = random_instance(seed, max_n=6, max_m=10)
         g, x = inst.graph, inst.x
-        result = solve(g, x, 1).hitting_set
-        if result is None:
-            continue
+        result = solve(g, x).hitting_set
         rng = random.Random(seed)
         y = set(result.y)
         assert not has_x_path(g, x, avoid=y)
@@ -417,30 +456,34 @@ def test_solve_agrees_with_the_views_and_a_fresh_matching():
     for seed in range(150):
         inst = random_instance(seed, max_n=8)
         g, x = inst.graph, inst.x
-        packing = solve(g, x).packing
-        for k in range(1, packing.k + 3):
-            solution = solve(g, x, k)
-            assert solution.packing == packing
-            assert solution.certificate == certificate(g, x) == _two_pass_certificate(g, x)
-            found = solution.hitting_set
-            if k <= packing.k:
-                assert found is None
-            else:
-                assert solve(g, x, k).hitting_set == found
-                assert found.k == k
-                assert (found.s, found.t) == (solution.certificate.s, solution.certificate.t)
+        solution = solve(g, x)
+        assert solution.packing == solve(g, x).packing
+        assert solution.certificate == certificate(g, x) == _two_pass_certificate(g, x)
+        found = solution.hitting_set
+        assert solve(g, x).hitting_set == found
+        assert (found.s, found.t) == (solution.certificate.s, solution.certificate.t)
 
 
-def test_solve_reads_no_dual_when_enough_paths_exist():
+def test_solve_reads_no_dual_when_enough_paths_exist(tmp_path, capsys, monkeypatch):
     g = complete_all_minus(5)
-    solution = solve(g, range(5), 2)
-    assert solution.hitting_set is None
+    solution = solve(g, range(5))
+    assert solution.packing.k == 2
     assert "certificate" not in vars(solution)  # the lazy dual was never read
+    # Nor does the hitting-set overlay at k = 2: it draws the two paths.
+    monkeypatch.setattr(_Matcher, "gallai_edmonds", no_dual)
+    path = instance_file(tmp_path, g, range(5))
+    assert main(["export-dot", path, "--overlay", "hitting-set", "-k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert 'color="red"' in out and 'color="blue"' in out and "tomato" not in out
 
 
-def test_solve_rejects_k_zero_before_solving():
-    with pytest.raises(InvalidK):
-        solve(complete_all_minus(3), {9}, 0)
+def test_solve_rejects_k_zero_before_solving(tmp_path, capsys):
+    # X names a vertex the file never declares: read, it is a parse error.
+    path = tmp_path / "bad.bgf"
+    path.write_text("v a\nv b\ne a - b -\nx a z\n")
+    for argv in (["hitting-set", "-k", "0"], ["export-dot", "--overlay", "hitting-set", "-k", "0"]):
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        assert capsys.readouterr() == ("", BAD_K)
 
 
 # sha256 of the matchings, packings and certificates below, as recorded with
