@@ -26,10 +26,8 @@ from .solver import (
     HittingSet,
     PackingResult,
     Solution,
-    VerificationResult,
     certificate,
     solve,
-    verify_certificate,
 )
 
 __all__ = [
@@ -43,7 +41,6 @@ __all__ = [
     "Sign",
     "SignedPath",
     "Solution",
-    "VerificationResult",
     "certificate",
     "dual_value",
     "export_dot",
@@ -54,5 +51,4 @@ __all__ = [
     "is_x_path",
     "parse_instance",
     "solve",
-    "verify_certificate",
 ]

@@ -94,7 +94,7 @@ def _cmd_solve(args) -> int:
             print(f"path: {_render_path(instance, path)}")
         print(f"s: {_render_set(instance, cert.s)}")
         print(f"t: {_render_set(instance, cert.t)}")
-        print(f"value: {cert.value}")
+        print(f"value: {packing.k}")
         print("certificate: ok")
     else:
         g = instance.graph
@@ -107,7 +107,7 @@ def _cmd_solve(args) -> int:
             print(f"  path {i}: {_render_path_human(instance, path)}")
         print(
             f"certificate: S = {{{_render_set(instance, cert.s)}}}, "
-            f"T = {{{_render_set(instance, cert.t)}}}, value = {cert.value}"
+            f"T = {{{_render_set(instance, cert.t)}}}, value = {packing.k}"
         )
         print("certificate check: ok")
     return EXIT_OK
@@ -196,6 +196,8 @@ def _cmd_export_dot(args) -> int:
         if args.k is None:
             raise InvalidParameter("--overlay hitting-set requires -k")
         _check_k(args.k)
+    elif args.k is not None:
+        raise InvalidParameter("-k requires --overlay hitting-set")
     instance = parse_instance(_read_text(args.instance))
     packing = cert = hitting = None
     if args.overlay is not None:

@@ -1,4 +1,4 @@
-"""Maximum matching in general multigraphs, with its Gallai-Edmonds partition.
+"""Maximum matching in general multigraphs, with its Gallai-Edmonds A-set.
 
 A multigraph is two flat int lists `us` and `vs` over range(vertex_count):
 edge i joins us[i] and vs[i]. The matcher is Edmonds' blossom-shrinking
@@ -6,27 +6,16 @@ search, run as one alternating forest grown from every exposed vertex at
 once. Parallel edges stay in the adjacency lists; a matching never uses two
 of them, and a matched pair that the search flipped is reported by its
 lowest edge id. When no augmenting path is left the forest is Hungarian: its
-even vertices are the D-set of the Gallai-Edmonds partition, whose A-set
-attains the Tutte-Berge minimum.
+even vertices are the D-set of the Gallai-Edmonds partition, and their other
+neighbours, the A-set, attain the Tutte-Berge minimum.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InternalDualityMismatch
-
-
-@dataclass(frozen=True)
-class GallaiEdmonds:
-    """Canonical partition: d is missed by some maximum matching, a = N(d) - d,
-    c is everything else."""
-
-    d: frozenset[int]
-    a: frozenset[int]
-    c: frozenset[int]
 
 
 class _Matcher:
@@ -169,7 +158,8 @@ class _Matcher:
 
         A parallel copy of an edge never acts: the first copy leaves its ends
         in one blossom or one of them odd, or ends the scan at an
-        augmentation.
+        augmentation. An even vertex whose root holds no tree breaks the
+        forest, and raises InternalDualityMismatch naming it.
         """
         n, match, mate_edge, nbrs = self.n, self.match, self.mate_edge, self.nbrs
         even, parent, base = self.even, self.parent, self.base
@@ -183,49 +173,52 @@ class _Matcher:
                 even[v] = True
                 trees[v] = [v]
                 queue.append(v)
-        while queue:
-            v = queue.popleft()
-            if not even[v]:
-                continue  # its tree was dissolved while it waited
-            r = root[v]
-            for to in nbrs[v]:
-                if base[v] == base[to]:
-                    continue
-                if even[to]:
-                    if root[to] == r:
-                        self._shrink(v, to, members, queue)
+        try:
+            while queue:
+                v = queue.popleft()
+                if not even[v]:
+                    continue  # its tree was dissolved while it waited
+                r = root[v]
+                for to in nbrs[v]:
+                    if base[v] == base[to]:
                         continue
-                    mate_v, mate_to = match[v], match[to]
-                    match[v] = to
-                    match[to] = v
-                    mate_edge[v] = mate_edge[to] = -1
-                    self._flip(mate_v)
-                    self._flip(mate_to)
-                    dissolved = trees.pop(r) + trees.pop(root[to])
-                    for u in dissolved:
-                        even[u] = False
-                        parent[u] = -1
-                        base[u] = u
-                        root[u] = -1
-                        members.pop(u, None)
-                    queue.extend(sorted({w for u in dissolved for w in nbrs[u] if even[w]}))
-                    break
-                if root[to] == -1:  # unlabelled, so matched: grow the tree
-                    mate = match[to]
-                    parent[to] = v
-                    root[to] = root[mate] = r
-                    even[mate] = True
-                    trees[r] += (to, mate)
-                    queue.append(mate)
+                    if even[to]:
+                        if root[to] == r:
+                            self._shrink(v, to, members, queue)
+                            continue
+                        mate_v, mate_to = match[v], match[to]
+                        match[v] = to
+                        match[to] = v
+                        mate_edge[v] = mate_edge[to] = -1
+                        self._flip(mate_v)
+                        self._flip(mate_to)
+                        dissolved = trees.pop(r) + trees.pop(root[to])
+                        for u in dissolved:
+                            even[u] = False
+                            parent[u] = -1
+                            base[u] = u
+                            root[u] = -1
+                            members.pop(u, None)
+                        queue.extend(sorted({w for u in dissolved for w in nbrs[u] if even[w]}))
+                        break
+                    if root[to] == -1:  # unlabelled, so matched: grow the tree
+                        mate = match[to]
+                        parent[to] = v
+                        root[to] = root[mate] = r
+                        even[mate] = True
+                        trees[r] += (to, mate)
+                        queue.append(mate)
+        except KeyError as exc:  # `trees` lacks the root an even vertex names
+            raise InternalDualityMismatch(
+                f"forest: an even vertex names root {exc.args[0]}, which holds no tree"
+            ) from None
         for eid, (u, v) in enumerate(zip(self.us, self.vs)):
             if match[u] == v and mate_edge[u] == -1:
                 mate_edge[u] = mate_edge[v] = eid
 
-    def matched_edges(self) -> frozenset[int]:
-        return frozenset(e for e in self.mate_edge if e != -1)
-
-    def gallai_edmonds(self) -> GallaiEdmonds:
-        """The partition read off the forest that `run` left labelled.
+    def gallai_edmonds(self) -> set[int]:
+        """The A-set of the Gallai-Edmonds partition, read off the forest
+        that `run` left labelled.
 
         D is its even vertices and A = N(D) - D. The same pass checks that
         the forest is Hungarian, which for a forest grown by `run` certifies
@@ -238,13 +231,12 @@ class _Matcher:
         def broken(why: str) -> InternalDualityMismatch:
             return InternalDualityMismatch(f"gallai-edmonds: {why}")
 
-        d, a = set(), set()
+        a = set()
         for v in range(self.n):
             if not even[v]:
                 if match[v] == -1:
                     raise broken(f"exposed vertex {v} is not in D")
                 continue
-            d.add(v)
             for to in nbrs[v]:
                 if not even[to]:
                     if parent[to] == -1:
@@ -252,8 +244,7 @@ class _Matcher:
                     a.add(to)
                 elif base[to] != base[v]:
                     raise broken(f"D-D edge {v}-{to} joins two blossoms")
-        c = frozenset(range(self.n)) - d - a
-        return GallaiEdmonds(frozenset(d), frozenset(a), c)
+        return a
 
 
 def grow_matching(

@@ -5,13 +5,19 @@ matching from the base matching of its split edges, read the packing size off
 the matching surplus and the paths off walks of the matching from the
 X-vertices (checked once on g as pairwise disjoint X-paths), and translate
 the A-set of the same matching's Gallai-Edmonds partition into a vertex-set
-pair (S, T) whose dual bound equals the packing size. Auxiliary vertex a
-belongs to host vertex a >> 1; outside X, a & 1 is 0 on its - copy and 1 on
-its + copy. Leave-one-out over the restricted graph's components turns
-(S, T) into a hitting set Y of at most 2k - |S∩T| vertices, audited on g by
-`verify_certificate` before it is returned.
-`certificate(g, X)` is the one view that returns a single part of the
-answer.
+pair (S, T) whose dual value, checked by `dual_value`, equals the packing
+size. Leave-one-out over the restricted graph's components turns (S, T) into
+a hitting set Y of at most 2k - |S∩T| vertices, audited on g by `dual_value`
+before it is returned. `certificate(g, X)` is the one view that returns a
+single part of the answer.
+
+The auxiliary graph has the ids 0 .. 2n-1 and two flat edge lists: edge i
+joins us[i] and vs[i]. Host vertex v owns 2v and 2v+1, so auxiliary vertex a
+belongs to host vertex a >> 1. Outside X they are its - and + copies: its
+ends with sign - land on 2v, those with sign + on 2v+1, and its split edge
+joins the two. Every end of an X-vertex lands on 2v, and 2v+1 stays
+isolated. The split edges come first, in host-vertex order, and form the base
+matching; host edge e is edge split_count + e.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .auxiliary import AuxiliaryGraph
 from .core import (
+    MINUS,
     BidirectedMultigraph,
     SignedPath,
     VertexId,
@@ -43,11 +49,10 @@ class PackingResult:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A pair (S, T) with X∩S = X∩T whose dual bound equals the packing size."""
+    """A pair (S, T) with X∩S = X∩T whose dual value equals the packing size."""
 
     s: frozenset[VertexId]
     t: frozenset[VertexId]
-    value: int
 
 
 @dataclass(frozen=True)
@@ -67,18 +72,28 @@ class HittingSet:
     t: frozenset[VertexId]
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    ok: bool
-    reason: str | None = None
+def _auxiliary(
+    g: BidirectedMultigraph, xs: frozenset[VertexId]
+) -> tuple[int, list[int], list[int]]:
+    """The auxiliary graph of (g, X) as (split_count, us, vs), laid out as
+    the module docstring says."""
+    n = g.vertex_count
+    # An end with sign - at v lands on at_minus[v], one with sign + on
+    # at_plus[v]. Reading the ids from lists shares one int object per id.
+    at_minus = list(range(0, 2 * n, 2))
+    at_plus = list(range(1, 2 * n, 2))
+    for v in xs:
+        at_plus[v] = at_minus[v]
+    split = [v for v in g.vertices() if v not in xs]
+    us = [at_minus[v] for v in split]
+    vs = [at_plus[v] for v in split]
+    ends = g.edge_ends
+    us += [(at_minus if sign is MINUS else at_plus)[u] for u, sign, _, _ in ends()]
+    vs += [(at_minus if sign is MINUS else at_plus)[v] for _, _, v, sign in ends()]
+    return len(split), us, vs
 
-    def __bool__(self) -> bool:
-        return self.ok
 
-
-def _packing(
-    aux: AuxiliaryGraph, xs: frozenset[VertexId], matcher: _Matcher
-) -> PackingResult:
+def _packing(xs: frozenset[VertexId], split_count: int, matcher: _Matcher) -> PackingResult:
     """The host paths of the matching's alternating X-paths against the base
     matching; there are exactly as many as the matching's surplus.
 
@@ -92,8 +107,7 @@ def _packing(
     has vertices has repeated one, and raises InternalDualityMismatch.
     """
     match, mate_edge = matcher.match, matcher.mate_edge
-    split_count = aux.split_count
-    steps = aux.vertex_count // 2
+    steps = matcher.n // 2
     k = (matcher.n - match.count(-1)) // 2 - split_count
     paths: list[SignedPath] = []
     for x in sorted(xs):
@@ -149,22 +163,32 @@ class Solution:
     """
 
     def __init__(
-        self,
-        g: BidirectedMultigraph,
-        xs: frozenset[VertexId],
-        aux: AuxiliaryGraph,
-        matcher: _Matcher,
+        self, g: BidirectedMultigraph, xs: frozenset[VertexId], split_count: int, matcher: _Matcher
     ):
         self.g = g
         self.x = xs
         self._matcher = matcher
-        self.packing = _packing(aux, xs, matcher)
+        self.packing = _packing(xs, split_count, matcher)
         _check_packing(g, xs, self.packing.paths)
+
+    def _check_dual(
+        self, check: str, s: frozenset[VertexId], t: frozenset[VertexId], name: str, expected: int
+    ) -> None:
+        """Raise InternalDualityMismatch, naming the check, unless (S, T) is
+        admissible on g with dual value `expected`, called `name`."""
+        try:
+            value = dual_value(self.g, self.x, s, t)
+        except (UnknownVertex, SideConditionViolated) as exc:
+            raise InternalDualityMismatch(f"{check} failed: {exc}") from None
+        if value != expected:
+            raise InternalDualityMismatch(
+                f"{check} failed: dual value {value} differs from {name} = {expected}"
+            )
 
     @functools.cached_property
     def certificate(self) -> Certificate:
         """A dual pair (S, T) attaining the packing size, checked once by
-        `verify_certificate`.
+        `dual_value`.
 
         The A-set U of the auxiliary graph's Gallai-Edmonds partition is
         translated by copy: T collects the owners a >> 1 of the - copies 2v
@@ -174,7 +198,7 @@ class Solution:
         """
         xs = self.x
         s, t = set(), set()
-        for a in self._matcher.gallai_edmonds().a:
+        for a in self._matcher.gallai_edmonds():
             v = a >> 1
             if v in xs:
                 s.add(v)
@@ -183,11 +207,8 @@ class Solution:
                 s.add(v)
             else:
                 t.add(v)
-        k = self.packing.k
-        cert = Certificate(frozenset(s), frozenset(t), k)
-        check = verify_certificate(self.g, self.x, cert, k)
-        if not check:
-            raise InternalDualityMismatch(f"certificate check failed: {check.reason}")
+        cert = Certificate(frozenset(s), frozenset(t))
+        self._check_dual("certificate check", cert.s, cert.t, "k", self.packing.k)
         return cert
 
     @functools.cached_property
@@ -212,11 +233,7 @@ class Solution:
                 f"hitting set of size {len(y)} exceeds the bound 2k - |S∩T| = {bound}"
             )
         ys = frozenset(y)
-        audit = verify_certificate(
-            self.g, self.x, Certificate(cert.s | ys, cert.t | ys, len(ys)), len(ys)
-        )
-        if not audit:
-            raise InternalDualityMismatch(f"hitting-set audit failed: {audit.reason}")
+        self._check_dual("hitting-set audit", cert.s | ys, cert.t | ys, "|Y|", len(ys))
         return HittingSet(ys, cert.s, cert.t)
 
 
@@ -224,31 +241,12 @@ def solve(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Solution:
     """Solve (g, X) once: the packing, and on demand its dual pair and the
     hitting set."""
     xs = g.check_vertex_set(x)
-    aux = AuxiliaryGraph(g, xs)
-    matcher = grow_matching(aux.vertex_count, aux.us, aux.vs, range(aux.split_count))
-    return Solution(g, xs, aux, matcher)
+    split_count, us, vs = _auxiliary(g, xs)
+    matcher = grow_matching(2 * g.vertex_count, us, vs, range(split_count))
+    return Solution(g, xs, split_count, matcher)
 
 
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:
     """A dual pair (S, T) attaining the packing size; see Solution.certificate."""
     return solve(g, x).certificate
 
-
-def verify_certificate(
-    g: BidirectedMultigraph,
-    x: Iterable[VertexId],
-    cert: Certificate,
-    claimed_k: int,
-) -> VerificationResult:
-    """Recheck a certificate without solving anything."""
-    try:
-        actual = dual_value(g, x, cert.s, cert.t)
-    except UnknownVertex:
-        return VerificationResult(False, "unknown-vertex")
-    except SideConditionViolated:
-        return VerificationResult(False, "side-condition-violated")
-    if actual != cert.value:
-        return VerificationResult(False, "value-mismatch")
-    if cert.value != claimed_k:
-        return VerificationResult(False, "k-mismatch")
-    return VerificationResult(True)

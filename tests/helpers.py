@@ -4,17 +4,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from hypothesis import strategies as st
 
 from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, is_x_path
-from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.bgf import Instance
 from bidipath.core import restricted_components
 from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
-from bidipath.matching import GallaiEdmonds, _Matcher, grow_matching
+from bidipath.matching import _Matcher, grow_matching
+from bidipath.solver import _auxiliary
 
 SIGNS = (MINUS, PLUS)
 
@@ -53,7 +53,21 @@ def flat(h: Multigraph) -> tuple[int, list[int], list[int]]:
     return h.vertex_count, [u for u, _ in h.endpoints], [v for _, v in h.endpoints]
 
 
-def auxiliary_multigraph(aux: AuxiliaryGraph) -> Multigraph:
+class Auxiliary(NamedTuple):
+    """The auxiliary graph that `solve` builds for (g, X), with its vertex
+    count 2|V(g)|; the layout is in the `solver` module docstring."""
+
+    vertex_count: int
+    split_count: int
+    us: list[int]
+    vs: list[int]
+
+
+def auxiliary(g: BidirectedMultigraph, x) -> Auxiliary:
+    return Auxiliary(2 * g.vertex_count, *_auxiliary(g, frozenset(x)))
+
+
+def auxiliary_multigraph(aux: Auxiliary) -> Multigraph:
     return Multigraph(aux.vertex_count, tuple(zip(aux.us, aux.vs)))
 
 
@@ -80,6 +94,11 @@ def grow(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:
     return grow_matching(*flat(h), seed_edges)
 
 
+def matched_edges(matcher: _Matcher) -> frozenset[int]:
+    """The edge ids the matcher's matching uses, one per matched pair."""
+    return frozenset(e for e in matcher.mate_edge if e != -1)
+
+
 def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
     """A maximum-cardinality matching of h, grown from the given seed matching.
 
@@ -87,12 +106,31 @@ def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
     a seed edge whose pair the search never flipped is kept, whichever
     parallel copy it is.
     """
-    return grow(h, seed).matched_edges()
+    return matched_edges(grow(h, seed))
+
+
+@dataclass(frozen=True)
+class GallaiEdmonds:
+    """Canonical partition: d is missed by some maximum matching, a = N(d) - d,
+    c is everything else."""
+
+    d: frozenset[int]
+    a: frozenset[int]
+    c: frozenset[int]
+
+
+def partition(matcher: _Matcher) -> GallaiEdmonds:
+    """(D, A, C) of the forest a grown matcher holds: A as its
+    `gallai_edmonds` returns it, after checking the forest; D its even
+    vertices; C the rest."""
+    a = frozenset(matcher.gallai_edmonds())
+    d = frozenset(v for v in range(matcher.n) if matcher.even[v])
+    return GallaiEdmonds(d, a, frozenset(range(matcher.n)) - d - a)
 
 
 def gallai_edmonds(h: Multigraph) -> GallaiEdmonds:
     """The canonical partition (D, A, C) of h."""
-    return grow(h).gallai_edmonds()
+    return partition(grow(h))
 
 
 def random_instance(seed: int, max_n: int = 7, max_m: int = 14) -> Instance:
@@ -182,18 +220,18 @@ def copy_of(x, v: int, i: int) -> int:
     return 2 * v + 1 if i == 2 and v not in x else 2 * v
 
 
-def lifted_edge(aux: AuxiliaryGraph, e: int) -> int:
+def lifted_edge(aux: Auxiliary, e: int) -> int:
     """The auxiliary edge that host edge e is rerouted to."""
     return aux.split_count + e
 
 
-def split_edge(aux: AuxiliaryGraph, v: int) -> int:
+def split_edge(aux: Auxiliary, v: int) -> int:
     """The id of v's split edge, found by its end 2v among the split edges."""
     return aux.us.index(2 * v, 0, aux.split_count)
 
 
 def lift_path(
-    g: BidirectedMultigraph, x, aux: AuxiliaryGraph, p: SignedPath
+    g: BidirectedMultigraph, x, aux: Auxiliary, p: SignedPath
 ) -> SignedPath:
     """Map an X-path of g to its base-alternating image in the auxiliary
     graph of (g, X), a path of auxiliary vertex and edge ids; the inverse of
@@ -220,7 +258,7 @@ def lift_path(
     return SignedPath(tuple(verts), tuple(edges))
 
 
-def project_path(aux: AuxiliaryGraph, q: SignedPath) -> SignedPath:
+def project_path(aux: Auxiliary, q: SignedPath) -> SignedPath:
     """The host path of a base-alternating auxiliary X-path q: the owner
     a >> 1 of its first vertex and of every vertex reached by a non-base
     edge, and the host id of each non-base edge. The inverse of lift_path."""
@@ -420,7 +458,7 @@ def verify_component_correspondence(g, x, s, t) -> bool:
     ts = g.check_vertex_set(t)
     if xs & ss != xs & ts:
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    aux = AuxiliaryGraph(g, xs)
+    aux = auxiliary(g, xs)
     u_aux = {copy_of(xs, v, 1) for v in ts} | {copy_of(xs, v, 2) for v in ss}
     # The isolated ids 2v+1 of the X-vertices are no copies: leave them out too.
     unused = {2 * v + 1 for v in xs}

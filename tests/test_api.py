@@ -5,8 +5,10 @@ import importlib
 import re
 from pathlib import Path
 
+import pytest
+
 import bidipath
-from bidipath.auxiliary import AuxiliaryGraph
+from bidipath.solver import _auxiliary
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -21,7 +23,6 @@ PUBLIC = [
     "Sign",
     "SignedPath",
     "Solution",
-    "VerificationResult",
     "certificate",
     "dual_value",
     "export_dot",
@@ -32,30 +33,29 @@ PUBLIC = [
     "is_x_path",
     "parse_instance",
     "solve",
-    "verify_certificate",
 ]
 
 # Names that test-only or duplicate code once answered to, by module, with
 # the class for a deleted method or attribute.
 DELETED = {
-    "auxiliary": [
-        "AuxVertex", "copy_index", "lift_path", "AlternatingPath", "project_path",
-        "build_auxiliary",
-    ],
     "core": ["RestrictedGraph", "restrict", "Edge", "Multigraph"],
     "matching": [
         "TutteBergeWitness", "tutte_berge_witness", "tutte_berge_value", "components_without",
-        "is_matching", "maximum_matching", "gallai_edmonds",
+        "is_matching", "maximum_matching", "gallai_edmonds", "GallaiEdmonds",
     ],
-    "solver": ["max_disjoint_x_paths", "hitting_set", "check_threshold"],
+    "solver": [
+        "max_disjoint_x_paths", "hitting_set", "check_threshold", "verify_certificate",
+        "VerificationResult", "AuxiliaryGraph",
+    ],
     "errors": ["NotAnXPath", "NotAlternating", "EndpointsNotInX", "InvalidSeed", "InvalidK"],
 }
 DELETED_MEMBERS = {
-    ("auxiliary", "AuxiliaryGraph"): ["aux_vertices", "p", "lifted"],
     ("core", "BidirectedMultigraph"): [
         "incident_edges", "edge", "has_edge", "has_vertex", "add_vertex",
     ],
     ("core", "SignedPath"): ["canonical", "endpoints"],
+    ("solver", "Certificate"): ["value"],
+    ("matching", "_Matcher"): ["matched_edges"],
 }
 
 
@@ -77,12 +77,19 @@ def test_deleted_names_are_gone():
             assert not hasattr(owner, name), (cls, name)
 
 
+def test_the_auxiliary_module_is_gone():
+    # Its construction is `solver._auxiliary`, next to the code that reads the ids.
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("bidipath.auxiliary")
+
+
 def test_the_auxiliary_graph_holds_only_its_counts_and_two_edge_lists():
     g = bidipath.from_digraph(3, [(0, 1), (1, 2)])
-    aux = AuxiliaryGraph(g, frozenset({0, 2}))
-    assert vars(aux) == {
-        "vertex_count": 6, "split_count": 1, "us": [2, 0, 2], "vs": [3, 3, 4],
-    }
+    assert _auxiliary(g, frozenset({0, 2})) == (1, [2, 0, 2], [3, 3, 4])
+
+
+def test_a_certificate_is_the_pair_s_t_only():
+    assert [f.name for f in dataclasses.fields(bidipath.Certificate)] == ["s", "t"]
 
 
 def test_a_hitting_set_holds_y_and_its_certificate_only():

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given
 
 from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, solve
-from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.errors import UnknownVertex
 from bidipath.oracle import enumerate_x_paths
 from helpers import (
+    auxiliary,
     auxiliary_multigraph,
     complete_all_minus,
     copy_of,
@@ -15,6 +15,7 @@ from helpers import (
     is_matching,
     lift_path,
     lifted_edge,
+    partition,
     project_path,
     split_edge,
 )
@@ -23,7 +24,7 @@ from helpers import (
 def test_build_single_x_vertex():
     g = BidirectedMultigraph()
     x = g.add_vertices(1)[0]
-    aux = AuxiliaryGraph(g, frozenset({x}))
+    aux = auxiliary(g, frozenset({x}))
     assert aux.vertex_count == 2  # 2x, and the isolated 2x+1
     assert aux.us == aux.vs == []
     assert aux.split_count == 0
@@ -33,7 +34,7 @@ def test_build_splits_by_sign():
     g = BidirectedMultigraph()
     x, v = g.add_vertices(2)
     e = g.add_edge(x, MINUS, v, PLUS)
-    aux = AuxiliaryGraph(g, frozenset({x}))
+    aux = auxiliary(g, frozenset({x}))
     assert aux.vertex_count == 4
     assert len(aux.us) == len(aux.vs) == 2
     assert aux.split_count == 1
@@ -46,7 +47,7 @@ def test_build_splits_by_sign():
 
 def test_build_identity_when_x_is_everything():
     g = complete_all_minus(5)
-    aux = AuxiliaryGraph(g, frozenset(range(5)))
+    aux = auxiliary(g, frozenset(range(5)))
     assert aux.vertex_count == 10
     assert aux.split_count == 0
     assert list(zip(aux.us, aux.vs)) == [(2 * u, 2 * v) for u, _, v, _ in g.edge_ends()]
@@ -58,7 +59,7 @@ def test_build_counts_and_base_matching():
     g.add_edge(0, MINUS, 1, PLUS)
     g.add_edge(1, MINUS, 2, MINUS)
     g.add_edge(3, PLUS, 4, PLUS)
-    aux = AuxiliaryGraph(g, frozenset({0, 2}))
+    aux = auxiliary(g, frozenset({0, 2}))
     assert aux.vertex_count == 2 * 5
     assert len(aux.us) == len(aux.vs) == 3 + 3
     base = range(aux.split_count)
@@ -84,10 +85,10 @@ def test_lift_length_one_path():
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, MINUS)
     x = frozenset({a, b})
-    q = lift_path(g, x, AuxiliaryGraph(g, x), SignedPath((a, b), (e,)))
+    q = lift_path(g, x, auxiliary(g, x), SignedPath((a, b), (e,)))
     assert q.length == 1
     assert q.vertices == (2 * a, 2 * b)
-    assert q.edges == (lifted_edge(AuxiliaryGraph(g, x), e),)
+    assert q.edges == (lifted_edge(auxiliary(g, x), e),)
 
 
 def test_lift_routes_internal_copies_by_sign():
@@ -96,7 +97,7 @@ def test_lift_routes_internal_copies_by_sign():
     e1 = g.add_edge(x1, MINUS, v, PLUS)
     e2 = g.add_edge(v, MINUS, x2, MINUS)
     x = frozenset({x1, x2})
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     q = lift_path(g, x, aux, SignedPath((x1, v, x2), (e1, e2)))
     # enter at copy 2 (sign +), cross the split edge, leave from copy 1
     assert q.vertices == (
@@ -115,9 +116,9 @@ def test_lift_rejects_non_x_path():
     e = g.add_edge(a, MINUS, b, MINUS)
     x = frozenset({a, b})
     with pytest.raises(ValueError, match="requires an X-path"):
-        lift_path(g, x, AuxiliaryGraph(g, x), SignedPath((a,), ()))
+        lift_path(g, x, auxiliary(g, x), SignedPath((a,), ()))
     with pytest.raises(ValueError, match="requires an X-path"):
-        lift_path(g, {a}, AuxiliaryGraph(g, frozenset({a})), SignedPath((a, b), (e,)))
+        lift_path(g, {a}, auxiliary(g, frozenset({a})), SignedPath((a, b), (e,)))
 
 
 def test_project_single_non_base_edge():
@@ -125,7 +126,7 @@ def test_project_single_non_base_edge():
     a, b = g.add_vertices(2)
     e = g.add_edge(a, PLUS, b, PLUS)
     x = frozenset({a, b})
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     q = SignedPath((copy_of(x, a, 1), copy_of(x, b, 1)), (lifted_edge(aux, e),))
     assert project_path(aux, q) == SignedPath((a, b), (e,))
 
@@ -133,7 +134,7 @@ def test_project_single_non_base_edge():
 @given(graph_and_x())
 def test_round_trip_and_edge_counts(gx):
     g, x = gx
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     split_count = g.vertex_count - len(x)
     assert aux.split_count == split_count
     assert aux.vertex_count == 2 * g.vertex_count
@@ -149,7 +150,7 @@ def test_round_trip_and_edge_counts(gx):
 @given(graph_and_x())
 def test_disjointness_preserved_both_ways(gx):
     g, x = gx
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     paths = enumerate_x_paths(g, x, limit=60)
     lifted = [lift_path(g, x, aux, p) for p in paths]
     for i in range(len(paths)):
@@ -179,7 +180,7 @@ def test_flat_layout_of_host_and_auxiliary_graph(gx):
     def lands(w, sign):
         return 2 * w if w in x or sign is MINUS else 2 * w + 1
 
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     split = [v for v in g.vertices() if v not in x]
     assert aux.split_count == len(split)
     assert list(zip(aux.us, aux.vs)) == [(2 * v, 2 * v + 1) for v in split] + [
@@ -192,9 +193,9 @@ def test_flat_layout_of_host_and_auxiliary_graph(gx):
 @given(graph_and_x())
 def test_the_id_2v_plus_1_of_an_x_vertex_is_isolated_and_in_d(gx):
     g, x = gx
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     touched = set(aux.us) | set(aux.vs)
-    d = solve(g, x)._matcher.gallai_edmonds().d
+    d = partition(solve(g, x)._matcher).d
     for v in x:
         assert 2 * v + 1 not in touched
         assert 2 * v + 1 in d

@@ -19,15 +19,9 @@ from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
 from bidipath.errors import InvalidParameter
 from bidipath.cli import _verify_one, main
 from bidipath.generate import generate_instance
+from bidipath.matching import _Matcher
 from bidipath.oracle import has_x_path
-from bidipath.solver import (
-    Certificate,
-    HittingSet,
-    PackingResult,
-    Solution,
-    solve,
-    verify_certificate,
-)
+from bidipath.solver import Certificate, HittingSet, PackingResult, Solution, solve
 from helpers import graph_and_x, random_admissible_pair, random_instance, sign_broken_chain
 
 K5_BGF = (
@@ -121,6 +115,16 @@ BAD_K = "bidipath: the hitting-set bound 2k-2 requires k >= 1\n"
             ["export-dot", "--overlay", "hitting-set"],
             "bidipath: --overlay hitting-set requires -k\n",
             id="dot-no-k",
+        ),
+        pytest.param(
+            ["export-dot", "-k", "2"],
+            "bidipath: -k requires --overlay hitting-set\n",
+            id="dot-k-no-overlay",
+        ),
+        pytest.param(
+            ["export-dot", "--overlay", "paths", "-k", "2"],
+            "bidipath: -k requires --overlay hitting-set\n",
+            id="dot-k-paths",
         ),
     ],
 )
@@ -377,9 +381,10 @@ def test_parse_and_solve_never_add_edges_one_at_a_time(tmp_path, capsys, monkeyp
 
 
 def audit_clear(g, x, result: HittingSet) -> bool:
-    """The hitting-set audit of Solution.hitting_set, on a given Y."""
+    """The hitting-set audit of Solution.hitting_set, on a given Y: the dual
+    value of (S ∪ Y, T ∪ Y) on g is |Y|."""
     y = result.y
-    return bool(verify_certificate(g, x, Certificate(result.s | y, result.t | y, len(y)), len(y)))
+    return dual_value(g, x, result.s | y, result.t | y) == len(y)
 
 
 @given(graph_and_x(max_vertices=7, max_edges=14), st.randoms(use_true_random=False))
@@ -482,19 +487,41 @@ def test_a_packing_walk_caught_in_a_cycle_exits_3_by_name(tmp_path, capsys, monk
     assert "Traceback" not in captured.err
 
 
+def test_a_vertex_labelled_even_outside_every_tree_exits_3_by_name(tmp_path, capsys, monkeypatch):
+    # u = 1 is split into 2 and 3. Its + copy 3 is labelled even before the
+    # search, though no tree holds it; the first scan, from 2a = 0, meets it.
+    path = tmp_path / "forest.bgf"
+    path.write_text("v a\nv u\nv b\ne a - u +\ne u - b +\nx a b\n")
+    seed = _Matcher.seed
+
+    def corrupting(self, edges):
+        seed(self, edges)
+        self.even[3] = True
+
+    monkeypatch.setattr(_Matcher, "seed", corrupting)
+    assert main(["solve", str(path), "--format", "machine"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "bidipath: internal assertion failed:"
+        " forest: an even vertex names root -1, which holds no tree\n",
+    )
+
+
 def test_a_lopsided_certificate_fails_the_hitting_set_audit_by_name(k5_file, capsys, monkeypatch):
     # An X-vertex in S only breaks X∩S = X∩T; the audit names that, exit 3.
     found = Solution.certificate.func
 
     def lopsided(self):
         cert = found(self)
-        return Certificate(cert.s | {min(self.x - cert.s)}, cert.t, cert.value)
+        return Certificate(cert.s | {min(self.x - cert.s)}, cert.t)
 
     monkeypatch.setattr(Solution, "certificate", property(lopsided))
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "hitting-set audit" in err and "side-condition-violated" in err
+    assert err == (
+        "bidipath: internal assertion failed: hitting-set audit failed: X ∩ S must equal X ∩ T\n"
+    )
     assert "Traceback" not in err
 
 
@@ -614,7 +641,8 @@ def test_a_certificate_that_fails_its_check_exits_3_with_the_reason(k5_file, cap
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "bidipath: internal assertion failed: certificate check failed: value-mismatch\n"
+        "bidipath: internal assertion failed: certificate check failed:"
+        " dual value 99 differs from k = 2\n"
     )
 
 

@@ -186,7 +186,8 @@ def test_solve_and_path_validity_agree_on_the_a_b_c_instance():
     solution = solve(g, {a, c})
     assert solution.packing.k == 1
     assert set(solution.packing.paths[0].vertices) == {a, b, c}
-    assert solution.certificate.value == 1
+    cert = solution.certificate
+    assert dual_value(g, {a, c}, cert.s, cert.t) == 1
 
 
 def test_add_edges_rejects_lists_of_unequal_length():

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.core import weak_components
 from bidipath.errors import InternalDualityMismatch
 from bidipath.matching import _Matcher, grow_matching
 from bidipath.oracle import brute_matching
 from helpers import (
     Multigraph,
+    auxiliary,
     auxiliary_multigraph,
     flat,
     gallai_edmonds,
@@ -18,6 +18,7 @@ from helpers import (
     grow,
     is_matching,
     maximum_matching,
+    partition,
     random_multigraph,
     tutte_berge_value,
 )
@@ -190,7 +191,7 @@ def test_gallai_edmonds_invariants(seed):
 @given(graph_and_x(max_vertices=6, max_edges=12))
 def test_gallai_edmonds_invariants_on_auxiliary_graphs(gx):
     # At most 6 split edges and 12 lifted ones: within brute_matching's reach.
-    _assert_gallai_edmonds_invariants(auxiliary_multigraph(AuxiliaryGraph(*gx)))
+    _assert_gallai_edmonds_invariants(auxiliary_multigraph(auxiliary(*gx)))
 
 
 def _greedy_matching(h: Multigraph, order) -> frozenset[int]:
@@ -212,15 +213,15 @@ def test_gallai_edmonds_is_the_same_from_a_seeded_matching(seed, rng):
     order = list(range(h.edge_count))
     rng.shuffle(order)
     seeded = grow(h, _greedy_matching(h, order[: rng.randint(0, len(order))]))
-    assert seeded.gallai_edmonds() == gallai_edmonds(h)
+    assert partition(seeded) == gallai_edmonds(h)
 
 
 @given(graph_and_x(max_vertices=7, max_edges=12))
 def test_gallai_edmonds_of_auxiliary_graph_from_base_matching(gx):
     g, x = gx
-    aux = AuxiliaryGraph(g, x)
+    aux = auxiliary(g, x)
     seeded = grow_matching(aux.vertex_count, aux.us, aux.vs, range(aux.split_count))
-    assert seeded.gallai_edmonds() == gallai_edmonds(auxiliary_multigraph(aux))
+    assert partition(seeded) == gallai_edmonds(auxiliary_multigraph(aux))
 
 
 def test_probing_a_non_maximum_matching_names_the_stage():
@@ -274,3 +275,15 @@ def test_a_walk_caught_in_a_cycle_names_itself(walk, name):
         InternalDualityMismatch, match=f"^{name} repeats a vertex within 4 steps$"
     ):
         walk(cyclic_forest())
+
+
+def test_an_even_vertex_outside_every_tree_names_the_forest():
+    # Vertex 1 is matched to 2 and labelled even by hand, so it roots no
+    # tree: the augmentation from root 0 looks for a tree that is not there.
+    matcher = _Matcher(4, [0, 1, 2], [1, 2, 3])
+    matcher.seed([1])
+    matcher.even[1] = True
+    with pytest.raises(
+        InternalDualityMismatch, match="^forest: an even vertex names root -1, which holds no tree$"
+    ):
+        matcher.run()

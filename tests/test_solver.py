@@ -20,9 +20,7 @@ from bidipath import (
     generate_instance,
     is_x_path,
     solve,
-    verify_certificate,
 )
-from bidipath.auxiliary import AuxiliaryGraph
 from bidipath.bgf import Instance, format_instance
 from bidipath.cli import main
 from bidipath.core import delete_vertices
@@ -35,12 +33,14 @@ from bidipath.matching import _Matcher
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
 from bidipath.solver import _check_packing, _packing
 from helpers import (
+    auxiliary,
     auxiliary_multigraph,
     complete_all_minus,
     copy_of,
     gallai_edmonds,
     gamma_image,
     lifted_edge,
+    matched_edges,
     maximum_matching,
     random_admissible_pair,
     random_instance,
@@ -123,10 +123,10 @@ def test_packing_check_names_the_failed_check():
 
 def _walk(g, x, seed):
     """The packing read off a matcher holding the given auxiliary edges."""
-    aux = AuxiliaryGraph(g, frozenset(x))
+    aux = auxiliary(g, x)
     matcher = _Matcher(aux.vertex_count, aux.us, aux.vs)
     matcher.seed(seed(aux))
-    return aux, matcher, _packing(aux, frozenset(x), matcher)
+    return aux, matcher, _packing(frozenset(x), aux.split_count, matcher)
 
 
 def test_walk_takes_an_x_x_edge():
@@ -158,8 +158,7 @@ def test_walk_passes_a_split_edge_both_matchings_hold():
     w = g.add_vertices(1)[0]
     g.add_edge(w, PLUS, 0, PLUS)  # w hangs off u and lies on no X-path
     solution = solve(g, x)
-    aux = AuxiliaryGraph(g, frozenset(x))
-    assert split_edge(aux, w) in solution._matcher.matched_edges()
+    assert split_edge(auxiliary(g, x), w) in matched_edges(solution._matcher)
     assert solution.packing == PackingResult(1, (SignedPath((1, 0, 2, 3), (2, 1, 0)),))
 
 
@@ -196,7 +195,7 @@ def test_walk_never_enters_an_alternating_cycle_without_x():
 def test_certificate_empty_x():
     g = complete_all_minus(3)
     cert = certificate(g, ())
-    assert cert.value == 0
+    assert dual_value(g, (), cert.s, cert.t) == 0
     assert cert.s & frozenset() == cert.t & frozenset()
 
 
@@ -204,34 +203,37 @@ def test_certificate_k5():
     g = complete_all_minus(5)
     cert = certificate(g, range(5))
     assert cert.s == cert.t == frozenset()
-    assert cert.value == 2
+    assert dual_value(g, range(5), cert.s, cert.t) == 2
 
 
 def test_verify_certificate_round_trip_and_perturbations():
+    # The certificate check is one dual_value call: a perturbed pair reads
+    # a different value, and an inadmissible one is refused in dual_value's
+    # own words.
     g = complete_all_minus(5)
-    x = range(5)
-    cert = certificate(g, x)
-    assert verify_certificate(g, x, cert, 2)
-    wrong_value = type(cert)(cert.s, cert.t, cert.value + 1)
-    check = verify_certificate(g, x, wrong_value, 2)
-    assert not check and check.reason == "value-mismatch"
-    bad_sides = type(cert)(frozenset({0}), frozenset({1}), cert.value)
-    check = verify_certificate(g, x, bad_sides, 2)
-    assert not check and check.reason == "side-condition-violated"
-    check = verify_certificate(g, x, cert, 3)
-    assert not check and check.reason == "k-mismatch"
+    solution = solve(g, range(5))
+    cert = solution.certificate
+    assert dual_value(g, range(5), cert.s, cert.t) == solution.packing.k == 2
+    solution._check_dual("certificate check", cert.s, cert.t, "k", 2)
+    cases = [
+        ((cert.s | {0}, cert.t | {0}), "dual value 3 differs from k = 2"),
+        ((frozenset({0}), frozenset({1})), "X ∩ S must equal X ∩ T"),
+    ]
+    for (s, t), reason in cases:
+        with pytest.raises(InternalDualityMismatch, match=f"^certificate check failed: {reason}$"):
+            solution._check_dual("certificate check", s, t, "k", 2)
 
 
 def test_verify_certificate_rejects_an_unknown_vertex():
     g = complete_all_minus(5)
-    cert = certificate(g, range(5))
-    foreign = Certificate(cert.s | {7}, cert.t, cert.value)
-    check = verify_certificate(g, range(5), foreign, 2)
-    assert not check and check.reason == "unknown-vertex"
+    solution = solve(g, range(5))
+    cert = solution.certificate
+    failed = "^certificate check failed: vertex 7 does not exist$"
+    with pytest.raises(InternalDualityMismatch, match=failed):
+        solution._check_dual("certificate check", cert.s | {7}, cert.t, "k", 2)
     # An unknown vertex is reported before a side-condition break.
-    both = Certificate(frozenset({0, 7}), frozenset(), 0)
-    check = verify_certificate(g, range(5), both, 0)
-    assert not check and check.reason == "unknown-vertex"
+    with pytest.raises(InternalDualityMismatch, match=failed):
+        solution._check_dual("certificate check", frozenset({0, 7}), frozenset(), "k", 0)
 
 
 def test_gamma_image_five_cases():
@@ -333,6 +335,39 @@ def test_hitting_set_meets_the_sharp_bound_on_the_generate_families(family, n, r
     result = solution.hitting_set
     assert (result.s, result.t) == (solution.certificate.s, solution.certificate.t)
     assert len(result.y) <= 2 * solution.packing.k - len(result.s & result.t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SIGN_FAMILIES),
+    st.integers(5, 80),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+    st.randoms(use_true_random=False),
+)
+def test_switching_the_signs_at_f_moves_f_between_s_and_t(family, n, ratio, seed, rng):
+    # Negating every end-sign at the vertices of F keeps which paths are
+    # valid, and B_{S,T} keeps an edge at v in S∖T by its sign - and at v in
+    # T∖S by its sign +. So k and Y stay, and each v in F that lies in
+    # exactly one of S and T moves to the other.
+    sign_dist, x_frac = family
+    inst = generate_instance(n, ratio * n, x_frac, sign_dist, seed)
+    g, x = inst.graph, inst.x
+    f = frozenset(v for v in g.vertices() if rng.random() < 0.5)
+
+    def switched(v, sign):
+        return sign.opposite() if v in f else sign
+
+    h = BidirectedMultigraph()
+    h.add_vertices(g.vertex_count)
+    ends = [(u, switched(u, su), v, switched(v, sv)) for u, su, v, sv in g.edge_ends()]
+    h.add_edges(*map(list, zip(*ends)))
+    before, after = solve(g, x), solve(h.freeze(), x)
+    assert after.packing.k == before.packing.k
+    s, t = before.certificate.s, before.certificate.t
+    moved = f & (s ^ t)
+    assert after.certificate == Certificate((s - moved) | (t & moved), (t - moved) | (s & moved))
+    assert after.hitting_set.y == before.hitting_set.y
 
 
 def test_hitting_set_empty_when_no_paths_at_k1():
@@ -439,17 +474,16 @@ def test_certificate_matches_brute_dual_everywhere_it_applies():
         inst = random_instance(seed, max_n=6, max_m=10)
         g, x = inst.graph, inst.x
         cert = certificate(g, x)
-        assert brute_dual_value(g, x, cert.s, cert.t) == cert.value
+        assert brute_dual_value(g, x, cert.s, cert.t) == solve(g, x).packing.k
 
 
 def _two_pass_certificate(g, x) -> Certificate:
     """The certificate from a second auxiliary graph and a fresh, unseeded
     matching, translated as Solution.certificate does."""
-    aux = AuxiliaryGraph(g, frozenset(x))
-    u = gallai_edmonds(auxiliary_multigraph(aux)).a
+    u = gallai_edmonds(auxiliary_multigraph(auxiliary(g, x))).a
     s = frozenset(v for v in g.vertices() if copy_of(x, v, 2) in u)
     t = frozenset(v for v in g.vertices() if copy_of(x, v, 1) in u)
-    return Certificate(s, t, dual_value(g, x, s, t))
+    return Certificate(s, t)
 
 
 def test_solve_agrees_with_the_views_and_a_fresh_matching():
@@ -537,7 +571,8 @@ def test_solve_self_checks_hold_on_a_10k_vertex_instance():
         assert is_x_path(g, x, p)
         assert used.isdisjoint(p.vertices)
         used.update(p.vertices)
-    assert verify_certificate(g, x, solution.certificate, solution.packing.k)
+    cert = solution.certificate
+    assert dual_value(g, x, cert.s, cert.t) == solution.packing.k
 
 
 def test_a_10k_vertex_instance_with_no_x_path_is_certified():
@@ -555,7 +590,8 @@ def test_a_10k_vertex_instance_with_no_x_path_is_certified():
     g = from_digraph(n, arcs)
     solution = solve(g, x)
     assert solution.packing.k == 0
-    assert verify_certificate(g, x, solution.certificate, 0)
+    cert = solution.certificate
+    assert dual_value(g, x, cert.s, cert.t) == 0
 
 
 def test_a_directed_grid_with_long_augmenting_paths_is_certified():
@@ -575,7 +611,8 @@ def test_a_directed_grid_with_long_augmenting_paths_is_certified():
     g = from_digraph(w * w + 2 * w, arcs)
     solution = solve(g, x)
     assert solution.packing.k == w
-    assert verify_certificate(g, x, solution.certificate, w)
+    cert = solution.certificate
+    assert dual_value(g, x, cert.s, cert.t) == w
 
 
 def test_a_10k_vertex_sign_consistent_chain_has_one_x_path():
@@ -588,4 +625,5 @@ def test_a_10k_vertex_sign_consistent_chain_has_one_x_path():
     assert solution.packing == PackingResult(
         1, (SignedPath(tuple(range(n)), tuple(range(n - 1))),)
     )
-    assert solution.certificate.value == 1
+    cert = solution.certificate
+    assert dual_value(g, {0, n - 1}, cert.s, cert.t) == 1
