@@ -31,8 +31,13 @@ class Sign(enum.Enum):
     def opposite(self) -> "Sign":
         return Sign.MINUS if self is Sign.PLUS else Sign.PLUS
 
+    # Both skip Enum.__format__ and the `value` descriptor: the BGF writer
+    # prints two signs per edge.
     def __str__(self) -> str:
-        return self.value
+        return self._value_
+
+    def __format__(self, spec: str) -> str:
+        return format(self._value_, spec)
 
 
 PLUS = Sign.PLUS

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from bisect import bisect
 
 from .bgf import Instance
 from .core import BidirectedMultigraph, Sign
@@ -47,6 +49,11 @@ def generate_instance(
     four pairs when omitted), and ceil(x_frac * n) X-vertices sampled with
     the same generator.
     """
+    for name, value in (("n", n), ("m", m)):
+        if type(value) is not int:
+            raise InvalidParameter(f"{name} must be an int, not {value!r}")
+    if type(x_frac) not in (int, float):
+        raise InvalidParameter(f"x_frac must be an int or a float, not {x_frac!r}")
     if n < 1:
         raise InvalidParameter("n must be at least 1")
     if m < 0:
@@ -58,6 +65,11 @@ def generate_instance(
     weights = dict.fromkeys(SIGN_PAIRS, 1.0) if sign_dist is None else dict(sign_dist)
     if set(weights) != set(SIGN_PAIRS):
         raise InvalidParameter("sign_dist must weight exactly the four sign pairs")
+    for pair, weight in weights.items():
+        if type(weight) not in (int, float):
+            raise InvalidParameter(
+                f"sign_dist weight {weight!r} of {pair!r} is not an int or a float"
+            )
     if not all(0 <= w < math.inf for w in weights.values()) or not (
         0 < sum(weights.values()) < math.inf
     ):
@@ -68,15 +80,26 @@ def generate_instance(
     rng = random.Random(seed)
     graph = BidirectedMultigraph()
     graph.add_vertices(n)
-    pair_weights = [weights[p] for p in SIGN_PAIRS]
     sign_pairs = [(Sign(p[0]), Sign(p[1])) for p in SIGN_PAIRS]
+    # The draws below are `rng.randrange(n)`, `rng.randrange(n - 1)` and
+    # `rng.choices(sign_pairs, weights)[0]` written out as `random.Random`
+    # makes them (3.10-3.13): the same calls to getrandbits() and random(),
+    # so the same instances, without three Python-level calls per edge.
+    getrandbits, rand = rng.getrandbits, rng.random
+    u_bits, v_bits = n.bit_length(), (n - 1).bit_length()
+    cum = list(itertools.accumulate(weights[p] for p in SIGN_PAIRS))
+    total = cum[-1] + 0.0
     us, sus, vs, svs = [], [], [], []
     for _ in range(m):
-        u = rng.randrange(n)
-        v = rng.randrange(n - 1)
+        u = getrandbits(u_bits)
+        while u >= n:
+            u = getrandbits(u_bits)
+        v = getrandbits(v_bits)
+        while v >= n - 1:
+            v = getrandbits(v_bits)
         if v >= u:
             v += 1
-        sign_u, sign_v = rng.choices(sign_pairs, weights=pair_weights)[0]
+        sign_u, sign_v = sign_pairs[bisect(cum, rand() * total, 0, 3)]
         us.append(u)
         sus.append(sign_u)
         vs.append(v)

@@ -223,6 +223,36 @@ def test_generate_instance_rejects_a_weight_that_is_negative_or_not_finite(weigh
         generate_instance(6, 20, 0.5, {"--": weight, "-+": 2.0, "+-": 0.0, "++": 0.0}, 1)
 
 
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((5.0, 3, 0.5), "^n must"),
+        ((5, 3.0, 0.5), "^m must"),
+        ((True, 3, 0.5), "^n must"),
+        ((5, 3, "0.5"), "^x_frac must"),
+        ((5, 3, None), "^x_frac must"),
+        ((5, 3, 0.5, {"--": "1", "-+": 1, "+-": 1, "++": 1}), "^sign_dist weight"),
+        ((5, 3, 0.5, {"--": None, "-+": 1, "+-": 1, "++": 1}), "^sign_dist weight"),
+    ],
+)
+def test_generate_instance_rejects_a_parameter_of_the_wrong_type(args, name):
+    with pytest.raises(InvalidParameter, match=name):
+        generate_instance(*args)
+
+
+def test_a_sign_prints_as_its_character(tmp_path, capsys):
+    plus, minus = bidipath.Sign.PLUS, bidipath.Sign.MINUS
+    assert (str(minus), f"{minus}", format(minus, ">3"), "%s" % minus) == ("-", "-", "  -", "-")
+    assert (str(plus), f"{plus}", format(plus, ">3"), "%s" % plus) == ("+", "+", "  +", "+")
+    assert (repr(minus), repr(plus)) == ("<Sign.MINUS: '-'>", "<Sign.PLUS: '+'>")
+    path = tmp_path / "mixed.bgf"
+    path.write_text("v a\nv b\nv c\ne a + b -\ne b + c -\nx a c\n")
+    assert main(["export-dot", str(path)]) == 0
+    assert '  "a" -- "b" [label="+-"];\n' in capsys.readouterr().out
+    assert main(["solve", str(path)]) == 0
+    assert "  path 1: a -(#0 +-)- b -(#1 +-)- c\n" in capsys.readouterr().out
+
+
 def test_export_dot_labels(k5_file, capsys):
     assert main(["export-dot", k5_file]) == 0
     out = capsys.readouterr().out
@@ -690,6 +720,25 @@ def test_cli_output_matches_the_recorded_digest(tmp_path, capsys):
             digest.update(f"{argv} {code}\n".encode())
             digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == RECORDED_CLI_DIGEST
+
+
+# sha256 of the BGF text of the instances below: any change to how `generate`
+# draws must reproduce these bytes. n sits on both sides of powers of two,
+# where the rejection loops behind the endpoint draws retry least and most.
+RECORDED_GENERATE_DIGEST = "ed8f30b3010f2b841d28844c9e51c576274ebfcc76447f689ce3a1e55147c134"
+
+
+def test_generate_output_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    seed = 0
+    for family in (*CLI_DIGEST_FAMILIES[:4], {"--": 0, "-+": 2.5, "+-": 1, "++": 0}):
+        for n in (1, 2, 3, 16, 17, 31, 33, 1500):
+            for m in (0, 3 * n) if n > 1 else (0,):
+                for x_frac in (0, 0.2, 1):
+                    seed += 1
+                    instance = generate_instance(n, m, x_frac, family, seed)
+                    digest.update(format_instance(instance).encode())
+    assert digest.hexdigest() == RECORDED_GENERATE_DIGEST
 
 
 # sha256 of the same requests' exit codes and stdout without the `path:`
