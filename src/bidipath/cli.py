@@ -113,13 +113,9 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
-
-
 def _cmd_hitting_set(args) -> int:
-    _check_k(args.k)
+    if args.k < 1:
+        raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
     instance = parse_instance(_read_text(args.instance))
     solution = solve(instance.graph, instance.x)
     if solution.packing.k >= args.k:  # the dual is never read
@@ -192,20 +188,14 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    if args.overlay == "hitting-set":
-        if args.k is None:
-            raise InvalidParameter("--overlay hitting-set requires -k")
-        _check_k(args.k)
-    elif args.k is not None:
-        raise InvalidParameter("-k requires --overlay hitting-set")
     instance = parse_instance(_read_text(args.instance))
     packing = cert = hitting = None
     if args.overlay is not None:
         solution = solve(instance.graph, instance.x)
-        if args.overlay == "certificate":
-            cert = solution.certificate
-        elif args.overlay == "paths" or solution.packing.k >= args.k:
+        if args.overlay == "paths":
             packing = solution.packing
+        elif args.overlay == "certificate":
+            cert = solution.certificate
         else:
             hitting = solution.hitting_set
     sys.stdout.write(export_dot(instance, packing, cert, hitting))
@@ -314,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="render the instance as DOT")
     p.add_argument("instance", help="BGF file, or - for stdin")
     p.add_argument("--overlay", choices=("paths", "certificate", "hitting-set"))
-    p.add_argument("-k", type=int, help="path count for the hitting-set overlay")
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("verify", help="cross-check the solver against the oracles")

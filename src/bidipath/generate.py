@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from bisect import bisect
+from collections.abc import Mapping
 
 from .bgf import Instance
 from .core import BidirectedMultigraph, Sign
@@ -62,6 +63,8 @@ def generate_instance(
         raise InvalidParameter("x_frac must lie in [0, 1]")
     if n == 1 and m > 0:
         raise InvalidParameter("a single vertex admits no loop-free edges")
+    if sign_dist is not None and not isinstance(sign_dist, Mapping):
+        raise InvalidParameter(f"sign_dist must be a mapping, not {sign_dist!r}")
     weights = dict.fromkeys(SIGN_PAIRS, 1.0) if sign_dist is None else dict(sign_dist)
     if set(weights) != set(SIGN_PAIRS):
         raise InvalidParameter("sign_dist must weight exactly the four sign pairs")
@@ -77,7 +80,10 @@ def generate_instance(
             "sign_dist weights must be finite and non-negative, with a positive finite total"
         )
 
-    rng = random.Random(seed)
+    try:
+        rng = random.Random(seed)
+    except TypeError:
+        raise InvalidParameter(f"seed must be an int, float, str or bytes, not {seed!r}") from None
     graph = BidirectedMultigraph()
     graph.add_vertices(n)
     sign_pairs = [(Sign(p[0]), Sign(p[1])) for p in SIGN_PAIRS]

@@ -3,11 +3,11 @@
 A multigraph is two flat int lists `us` and `vs` over range(vertex_count):
 edge i joins us[i] and vs[i]. The matcher is Edmonds' blossom-shrinking
 search, run as one alternating forest grown from every exposed vertex at
-once. Parallel edges stay in the adjacency lists; a matching never uses two
-of them, and a matched pair that the search flipped is reported by its
-lowest edge id. When no augmenting path is left the forest is Hungarian: its
-even vertices are the D-set of the Gallai-Edmonds partition, and their other
-neighbours, the A-set, attain the Tutte-Berge minimum.
+once. The matching is kept by vertex only, as each vertex's mate; parallel
+edges stay in the adjacency lists, and a matching never uses two of them.
+When no augmenting path is left the forest is Hungarian: its even vertices
+are the D-set of the Gallai-Edmonds partition, and their other neighbours,
+the A-set, attain the Tutte-Berge minimum.
 """
 
 from __future__ import annotations
@@ -22,37 +22,33 @@ class _Matcher:
     """One alternating forest over a multigraph, grown by `run`.
 
     The multigraph is given as two flat lists: edge i joins `us[i]` and
-    `vs[i]`. Every table is int-indexed: `nbrs[v]` lists v's neighbours in
-    ascending edge-id order, one entry per edge, `match[v]` is v's mate (-1 if
-    exposed) and `mate_edge[v]` the edge id that matches v to it. The forest
-    labels (even, parent, base) are allocated once. Scanning is in a fixed
-    order, so the matching, the paths flipped and the final forest are
+    `vs[i]`. The seed edges, which must form a matching, are matched at
+    once; the lists themselves are not kept. Every table is int-indexed:
+    `nbrs[v]` lists v's neighbours in ascending edge-id order, one entry per
+    edge, and `match[v]` is v's mate (-1 if exposed). The forest labels
+    (even, parent, base) are allocated once. Scanning is in a fixed order,
+    so the matching, the paths flipped and the final forest are
     reproducible.
     """
 
-    def __init__(self, vertex_count: int, us: list[int], vs: list[int]):
+    def __init__(
+        self, vertex_count: int, us: list[int], vs: list[int], seed: Iterable[int] = ()
+    ):
         n = self.n = vertex_count
-        self.us, self.vs = us, vs
         nbrs: list[list[int]] = [[] for _ in range(n)]
         for u, v in zip(us, vs):
             nbrs[u].append(v)
             nbrs[v].append(u)
         self.nbrs = nbrs
-        self.match = [-1] * n
-        self.mate_edge = [-1] * n
+        match = self.match = [-1] * n
+        for eid in seed:
+            u, v = us[eid], vs[eid]
+            match[u] = v
+            match[v] = u
         self.even = [False] * n
         self.parent = [-1] * n
         self.base = list(range(n))
         self.steps = range(n)  # the bound of every walk up the forest
-
-    def seed(self, edges: Iterable[int]) -> None:
-        """Match the ends of the given edges, which must form a matching."""
-        match, mate_edge, us, vs = self.match, self.mate_edge, self.us, self.vs
-        for eid in edges:
-            u, v = us[eid], vs[eid]
-            match[u] = v
-            match[v] = u
-            mate_edge[u] = mate_edge[v] = eid
 
     def _cycling(self, walk: str, v: int) -> InternalDualityMismatch:
         """A walk up the forest meets each of the n vertices at most once."""
@@ -126,7 +122,7 @@ class _Matcher:
     def _flip(self, v: int) -> None:
         """Flip the matching along the tree path from v, an odd vertex or
         the old mate of an even one, up to its root."""
-        match, mate_edge, parent = self.match, self.mate_edge, self.parent
+        match, parent = self.match, self.parent
         start = v
         for _ in self.steps:
             if v == -1:
@@ -135,7 +131,6 @@ class _Matcher:
             next_v = match[pv]
             match[pv] = v
             match[v] = pv
-            mate_edge[pv] = mate_edge[v] = -1
             v = next_v
         else:
             raise self._cycling("flip", start)
@@ -152,16 +147,14 @@ class _Matcher:
         back to its root, and only those two trees are dissolved. Their
         vertices are unlabelled again and now matched, so the even vertices
         next to them rejoin the queue (in ascending id order) to grow into
-        them. A flipped pair's `mate_edge` is -1 until the last pass, which
-        gives it the pair's lowest edge id; a seeded pair never flipped
-        keeps its seed edge.
+        them.
 
         A parallel copy of an edge never acts: the first copy leaves its ends
         in one blossom or one of them odd, or ends the scan at an
         augmentation. An even vertex whose root holds no tree breaks the
         forest, and raises InternalDualityMismatch naming it.
         """
-        n, match, mate_edge, nbrs = self.n, self.match, self.mate_edge, self.nbrs
+        n, match, nbrs = self.n, self.match, self.nbrs
         even, parent, base = self.even, self.parent, self.base
         root = [-1] * n  # the tree of each labelled vertex, named by its root
         trees: dict[int, list[int]] = {}  # every vertex each tree labelled
@@ -189,7 +182,6 @@ class _Matcher:
                         mate_v, mate_to = match[v], match[to]
                         match[v] = to
                         match[to] = v
-                        mate_edge[v] = mate_edge[to] = -1
                         self._flip(mate_v)
                         self._flip(mate_to)
                         dissolved = trees.pop(r) + trees.pop(root[to])
@@ -212,9 +204,6 @@ class _Matcher:
             raise InternalDualityMismatch(
                 f"forest: an even vertex names root {exc.args[0]}, which holds no tree"
             ) from None
-        for eid, (u, v) in enumerate(zip(self.us, self.vs)):
-            if match[u] == v and mate_edge[u] == -1:
-                mate_edge[u] = mate_edge[v] = eid
 
     def gallai_edmonds(self) -> set[int]:
         """The A-set of the Gallai-Edmonds partition, read off the forest
@@ -253,7 +242,6 @@ def grow_matching(
     """A matcher holding a maximum matching of the multigraph (us, vs) on
     range(vertex_count), grown from the seed edges, which must form a
     matching (they are not checked)."""
-    matcher = _Matcher(vertex_count, us, vs)
-    matcher.seed(seed)
+    matcher = _Matcher(vertex_count, us, vs, seed)
     matcher.run()
     return matcher

@@ -17,12 +17,15 @@ belongs to host vertex a >> 1. Outside X they are its - and + copies: its
 ends with sign - land on 2v, those with sign + on 2v+1, and its split edge
 joins the two. Every end of an X-vertex lands on 2v, and 2v+1 stays
 isolated. The split edges come first, in host-vertex order, and form the base
-matching; host edge e is edge split_count + e.
+matching; host edge e is edge split_count + e. The matcher keeps mates only:
+the packing names the matching edge between two copies by the lowest host
+edge id joining them, as no walk takes a split edge by the matching.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -93,22 +96,29 @@ def _auxiliary(
     return len(split), us, vs
 
 
-def _packing(xs: frozenset[VertexId], split_count: int, matcher: _Matcher) -> PackingResult:
-    """The host paths of the matching's alternating X-paths against the base
-    matching; there are exactly as many as the matching's surplus.
+def _packing(
+    xs: frozenset[VertexId], split_count: int, us: list[int], vs: list[int], match: list[int]
+) -> PackingResult:
+    """The host paths of the matching `match` (each copy's mate, or -1) read
+    as alternating X-paths against the base matching; there are exactly as
+    many as the matching's surplus.
 
     The walk from each X-vertex x starts at 2x and takes the matching edge,
     then the split edge of the copy w it reached (to w ^ 1), and so on, until
     it reaches an X-vertex or a copy the matching leaves exposed. It records
     the owner w >> 1 of each copy it reaches by a matching edge and the host
-    id of that edge. The walks that end at a higher X-vertex are kept; taken
-    in ascending order of their start, they are the paths in canonical
+    edge that names it. The walks that end at a higher X-vertex are kept;
+    taken in ascending order of their start, they are the paths in canonical
     orientation and order. A walk still going after as many steps as the host
     has vertices has repeated one, and raises InternalDualityMismatch.
     """
-    match, mate_edge = matcher.match, matcher.mate_edge
-    steps = matcher.n // 2
-    k = (matcher.n - match.count(-1)) // 2 - split_count
+    pair_edge = [-1] * len(match)
+    host = zip(itertools.islice(us, split_count, None), itertools.islice(vs, split_count, None))
+    for e, (u, v) in enumerate(host):
+        if match[u] == v and pair_edge[u] == -1:
+            pair_edge[u] = pair_edge[v] = e
+    steps = len(match) // 2
+    k = (len(match) - match.count(-1)) // 2 - split_count
     paths: list[SignedPath] = []
     for x in sorted(xs):
         v = 2 * x
@@ -117,7 +127,7 @@ def _packing(xs: frozenset[VertexId], split_count: int, matcher: _Matcher) -> Pa
             w = match[v]
             if w == -1:
                 break
-            edges.append(mate_edge[v] - split_count)
+            edges.append(pair_edge[v])
             u = w >> 1
             vertices.append(u)
             if u in xs:
@@ -156,20 +166,24 @@ class Solution:
     """The answer for one instance (g, X), from one auxiliary graph and one
     maximum matching; made by `solve`.
 
-    The packing is read off the matching at once and checked on g as
+    The packing, read off the matching by `solve`, is checked on g as
     pairwise disjoint X-paths. The dual pair (S, T) is read off the same
     matching's Gallai-Edmonds partition on first use, and the hitting set
     from that pair.
     """
 
     def __init__(
-        self, g: BidirectedMultigraph, xs: frozenset[VertexId], split_count: int, matcher: _Matcher
+        self,
+        g: BidirectedMultigraph,
+        xs: frozenset[VertexId],
+        packing: PackingResult,
+        matcher: _Matcher,
     ):
         self.g = g
         self.x = xs
         self._matcher = matcher
-        self.packing = _packing(xs, split_count, matcher)
-        _check_packing(g, xs, self.packing.paths)
+        self.packing = packing
+        _check_packing(g, xs, packing.paths)
 
     def _check_dual(
         self, check: str, s: frozenset[VertexId], t: frozenset[VertexId], name: str, expected: int
@@ -243,7 +257,7 @@ def solve(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Solution:
     xs = g.check_vertex_set(x)
     split_count, us, vs = _auxiliary(g, xs)
     matcher = grow_matching(2 * g.vertex_count, us, vs, range(split_count))
-    return Solution(g, xs, split_count, matcher)
+    return Solution(g, xs, _packing(xs, split_count, us, vs, matcher.match), matcher)
 
 
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:

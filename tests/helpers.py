@@ -94,19 +94,31 @@ def grow(h: Multigraph, seed: Iterable[int] = ()) -> _Matcher:
     return grow_matching(*flat(h), seed_edges)
 
 
-def matched_edges(matcher: _Matcher) -> frozenset[int]:
-    """The edge ids the matcher's matching uses, one per matched pair."""
-    return frozenset(e for e in matcher.mate_edge if e != -1)
+def matched_edges(
+    matcher: _Matcher, us: list[int], vs: list[int], seed: Iterable[int] = ()
+) -> frozenset[int]:
+    """The edge ids of the matcher's matching on the multigraph (us, vs)
+    it was grown on from `seed`, one per matched pair: the pair's lowest
+    edge id, except that a seed edge whose ends are still matched to each
+    other keeps its own."""
+    match = matcher.match
+    named: dict[int, int] = {}  # matched pair, by its lower end -> edge id
+    for eid in seed:
+        u, v = us[eid], vs[eid]
+        if match[u] == v:
+            named[min(u, v)] = eid
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        if match[u] == v:
+            named.setdefault(min(u, v), eid)
+    return frozenset(named.values())
 
 
 def maximum_matching(h: Multigraph, seed: Iterable[int] = ()) -> frozenset[int]:
-    """A maximum-cardinality matching of h, grown from the given seed matching.
-
-    A pair the search matched is represented by its lowest parallel edge id;
-    a seed edge whose pair the search never flipped is kept, whichever
-    parallel copy it is.
-    """
-    return matched_edges(grow(h, seed))
+    """A maximum-cardinality matching of h, grown from the given seed
+    matching, with its edges named as `matched_edges` says."""
+    seed = frozenset(seed)
+    _, us, vs = flat(h)
+    return matched_edges(grow(h, seed), us, vs, seed)
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,7 @@ DELETED_MEMBERS = {
     ],
     ("core", "SignedPath"): ["canonical", "endpoints"],
     ("solver", "Certificate"): ["value"],
-    ("matching", "_Matcher"): ["matched_edges"],
+    ("matching", "_Matcher"): ["matched_edges", "mate_edge", "seed", "us", "vs"],
 }
 
 
@@ -86,6 +86,16 @@ def test_the_auxiliary_module_is_gone():
 def test_the_auxiliary_graph_holds_only_its_counts_and_two_edge_lists():
     g = bidipath.from_digraph(3, [(0, 1), (1, 2)])
     assert _auxiliary(g, frozenset({0, 2})) == (1, [2, 0, 2], [3, 3, 4])
+
+
+def test_the_matcher_and_a_solution_keep_no_edge_list():
+    # The matcher is vertex-indexed; only the packing reads edge ids.
+    g = bidipath.from_digraph(3, [(0, 1), (1, 2)])
+    solution = bidipath.solve(g, {0, 2})
+    assert sorted(vars(solution._matcher)) == [
+        "base", "even", "match", "n", "nbrs", "parent", "steps",
+    ]
+    assert sorted(vars(solution)) == ["_matcher", "g", "packing", "x"]
 
 
 def test_a_certificate_is_the_pair_s_t_only():

@@ -87,9 +87,17 @@ def test_format_empty_instance():
         ("v a\n\n  q a\n", ParseError, "line 3, column 3: unknown directive 'q'"),
         ("v a\n v  a-b\n", ParseError, "line 2, column 5: invalid vertex name 'a-b'"),
         ("v a\n  x  \n", ParseError, "line 2, column 4: expected: x NAME [NAME ...]"),
+        ("v a b\n", ParseError, "line 1, column 3: expected: v NAME"),
         ("v a\ne a - zz +\n", UnknownVertex, "line 2, column 7: unknown vertex 'zz'"),
     ],
-    ids=["bad-sign", "unknown-directive", "bad-name", "arity-past-last-token", "unknown-vertex"],
+    ids=[
+        "bad-sign",
+        "unknown-directive",
+        "bad-name",
+        "arity-past-last-token",
+        "vertex-arity",
+        "unknown-vertex",
+    ],
 )
 def test_diagnostics_carry_line_and_column(text, error, message):
     with pytest.raises(error) as info:

@@ -17,7 +17,7 @@ import bidipath
 from bidipath.bgf import format_instance, parse_instance
 from bidipath.core import BidirectedMultigraph, delete_vertices, dual_value
 from bidipath.errors import InvalidParameter
-from bidipath.cli import _verify_one, main
+from bidipath.cli import _verify_one, build_parser, main
 from bidipath.generate import generate_instance
 from bidipath.matching import _Matcher
 from bidipath.oracle import has_x_path
@@ -99,32 +99,44 @@ def test_hitting_set_below_threshold(k5_file, capsys):
     assert len(got["path"]) == 2
 
 
+def test_hitting_set_human_output_below_threshold(k5_file, capsys):
+    assert main(["hitting-set", k5_file, "-k", "2"]) == 0
+    assert capsys.readouterr() == (
+        "2 disjoint X-paths exist:\n"
+        "  path 1: a -(#0 --)- b\n"
+        "  path 2: c -(#7 --)- d\n",
+        "",
+    )
+
+
 def test_hitting_set_k_zero_is_usage_error(k5_file, capsys):
     assert main(["hitting-set", k5_file, "-k", "0"]) == 1
 
 
 BAD_K = "bidipath: the hitting-set bound 2k-2 requires k >= 1\n"
+# export-dot takes no -k (its hitting-set overlay draws Y for any instance),
+# so argparse refuses one with the usage line.
+UNKNOWN_K = build_parser().format_usage() + "bidipath: error: unrecognized arguments: -k "
+
+
+def exit_code(argv) -> int:
+    """main's exit code, or that of the SystemExit an argparse error raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.mark.parametrize(
     "argv, err",
     [
         pytest.param(["hitting-set", "-k", "0"], BAD_K, id="hitting-set-k-0"),
-        pytest.param(["export-dot", "--overlay", "hitting-set", "-k", "0"], BAD_K, id="dot-k-0"),
         pytest.param(
-            ["export-dot", "--overlay", "hitting-set"],
-            "bidipath: --overlay hitting-set requires -k\n",
-            id="dot-no-k",
+            ["export-dot", "--overlay", "hitting-set", "-k", "0"], UNKNOWN_K + "0\n", id="dot-k-0"
         ),
+        pytest.param(["export-dot", "-k", "2"], UNKNOWN_K + "2\n", id="dot-k-no-overlay"),
         pytest.param(
-            ["export-dot", "-k", "2"],
-            "bidipath: -k requires --overlay hitting-set\n",
-            id="dot-k-no-overlay",
-        ),
-        pytest.param(
-            ["export-dot", "--overlay", "paths", "-k", "2"],
-            "bidipath: -k requires --overlay hitting-set\n",
-            id="dot-k-paths",
+            ["export-dot", "--overlay", "paths", "-k", "2"], UNKNOWN_K + "2\n", id="dot-k-paths"
         ),
     ],
 )
@@ -133,7 +145,7 @@ def test_a_bad_k_is_reported_before_the_instance_is_read(tmp_path, capsys, argv,
     path = tmp_path / "bad.bgf"
     if instance == "malformed":
         path.write_text("e a - b +\n")
-    assert main([argv[0], str(path), *argv[1:]]) == 1
+    assert exit_code([argv[0], str(path), *argv[1:]]) == 1
     assert capsys.readouterr() == ("", err)
 
 
@@ -157,6 +169,20 @@ def test_convert_empty(tmp_path, capsys):
     src.write_text("")
     assert main(["convert", "--mode", "digraph", str(src)]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_convert_skips_comment_and_blank_lines(tmp_path, capsys):
+    src = tmp_path / "arcs"
+    src.write_text("# arcs\n\na b\n  # indented\n   \nb c\n")
+    assert main(["convert", "--mode", "digraph", str(src)]) == 0
+    assert capsys.readouterr() == ("v a\nv b\nv c\ne a - b +\ne b - c +\n", "")
+
+
+def test_convert_rejects_a_line_that_is_not_a_pair(tmp_path, capsys):
+    src = tmp_path / "arcs"
+    src.write_text("a b\na b c\n")
+    assert main(["convert", "--mode", "digraph", str(src)]) == 2
+    assert capsys.readouterr() == ("", "bidipath: line 2, column 1: expected: U V\n")
 
 
 def test_convert_rejects_loop(tmp_path, capsys):
@@ -217,6 +243,27 @@ def test_generate_bad_params(capsys):
         assert captured.err.startswith("bidipath: ") and captured.err.count("\n") == 1, dist
 
 
+@pytest.mark.parametrize(
+    "args, err",
+    [
+        (["--sign-dist=--:abc"], "bad weight 'abc' in '--:abc'"),
+        (["-m", "-1"], "m must be non-negative"),
+        (["--x-frac", "1.5"], "x_frac must lie in [0, 1]"),
+        (["-n", "1", "-m", "1"], "a single vertex admits no loop-free edges"),
+    ],
+)
+def test_generate_names_a_bad_parameter(capsys, args, err):
+    assert main(["generate", "-n", "4", "-m", "3", *args]) == 1
+    assert capsys.readouterr() == ("", f"bidipath: {err}\n")
+
+
+def test_generate_instance_names_a_sign_dist_without_the_four_pairs():
+    with pytest.raises(
+        InvalidParameter, match="^sign_dist must weight exactly the four sign pairs$"
+    ):
+        generate_instance(4, 3, 0.5, {"--": 1.0})
+
+
 @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
 def test_generate_instance_rejects_a_weight_that_is_negative_or_not_finite(weight):
     with pytest.raises(InvalidParameter):
@@ -233,6 +280,9 @@ def test_generate_instance_rejects_a_weight_that_is_negative_or_not_finite(weigh
         ((5, 3, None), "^x_frac must"),
         ((5, 3, 0.5, {"--": "1", "-+": 1, "+-": 1, "++": 1}), "^sign_dist weight"),
         ((5, 3, 0.5, {"--": None, "-+": 1, "+-": 1, "++": 1}), "^sign_dist weight"),
+        ((5, 5, 0.2, "ab", 1), "^sign_dist must be a mapping"),
+        ((5, 5, 0.2, [1, 2, 3, 4], 1), "^sign_dist must be a mapping"),
+        ((5, 5, 0.2, None, [1]), "^seed must"),
     ],
 )
 def test_generate_instance_rejects_a_parameter_of_the_wrong_type(args, name):
@@ -267,9 +317,11 @@ def test_export_dot_paths_overlay(k5_file, capsys):
 
 
 def test_export_dot_hitting_set_overlay(k5_file, capsys):
-    assert main(["export-dot", k5_file, "--overlay", "hitting-set", "-k", "3"]) == 0
+    # K5 packs two X-paths, yet the overlay draws its Y: no threshold is asked.
+    assert main(["export-dot", k5_file, "--overlay", "hitting-set"]) == 0
     out = capsys.readouterr().out
     assert out.count("fillcolor=tomato") == 4
+    assert 'color="' not in out  # no path edge is coloured
 
 
 def test_export_dot_certificate_overlay(tmp_path, capsys):
@@ -282,6 +334,16 @@ def test_export_dot_certificate_overlay(tmp_path, capsys):
     assert main(["export-dot", str(path), "--overlay", "certificate"]) == 0
     out = capsys.readouterr().out
     assert "fillcolor=gold" in out  # the star centre lands in S∩T
+
+
+def test_export_dot_fills_s_only_and_t_only_vertices():
+    instance = parse_instance("v a\nv b\nv c\ne a - b -\n")
+    out = bidipath.export_dot(instance, cert=Certificate(frozenset({0}), frozenset({1})))
+    assert out.splitlines()[2:5] == [
+        '  "a" [style=filled fillcolor=lightblue comment="S"];',
+        '  "b" [style=filled fillcolor=lightgreen comment="T"];',
+        '  "c";',
+    ]
 
 
 def test_verify_reports_agreement(k5_file, capsys):
@@ -345,6 +407,35 @@ def test_a_verify_worker_runs_with_the_collector_on(k5_file, capsys, monkeypatch
     monkeypatch.setattr("bidipath.cli._verify_one", _verify_one_noting_the_collector)
     assert main(["verify", k5_file, k5_file, "--jobs", "2", "--format", "machine"]) == 0
     assert machine_lines(capsys.readouterr().out)["collector"] == ["True", "True"]
+
+
+def test_verify_skips_an_oracle_past_its_guard(k5_file, tmp_path, capsys):
+    # K5 has more X-paths than --limit 0 lets the packing oracle list; the
+    # 12-vertex instance is past both oracles' size guards.
+    big = tmp_path / "big.bgf"
+    big.write_text("".join(f"v v{i}\n" for i in range(12)) + "e v0 - v1 +\nx v0 v1\n")
+    assert main(["verify", k5_file, "--limit", "0", "--format", "machine"]) == 0
+    assert capsys.readouterr() == (
+        f"instance: {k5_file}\nk: 2\ncertificate: ok\noracle-packing: skipped\n"
+        "oracle-dual: 2\nagreement: ok\n",
+        "",
+    )
+    assert main(["verify", str(big)]) == 0
+    assert capsys.readouterr() == (
+        f"{big}: ok (k = 1, oracle packing = skipped, oracle dual = skipped,"
+        " certificate = ok)\n",
+        "",
+    )
+
+
+def test_verify_exits_3_when_solver_and_oracle_disagree(k5_file, capsys, monkeypatch):
+    monkeypatch.setattr("bidipath.oracle.brute_max_disjoint", lambda g, x, limit: 3)
+    assert main(["verify", k5_file]) == 3
+    assert capsys.readouterr() == (
+        f"{k5_file}: MISMATCH (k = 2, oracle packing = 3, oracle dual = 2,"
+        " certificate = ok)\n",
+        "bidipath: internal assertion failed: solver and oracle disagree\n",
+    )
 
 
 def test_verify_rejects_jobs_below_one(k5_file, capsys, monkeypatch):
@@ -517,18 +608,41 @@ def test_a_packing_walk_caught_in_a_cycle_exits_3_by_name(tmp_path, capsys, monk
     assert "Traceback" not in captured.err
 
 
+def test_a_matching_surplus_unlike_the_paths_walked_exits_3_by_name(
+    tmp_path, capsys, monkeypatch
+):
+    # w = 2 is split into 4 and 5. Unmatching that split pair, which lies on
+    # no walk, lowers the surplus to 0 while the walk still finds a-b.
+    path = tmp_path / "surplus.bgf"
+    path.write_text("v a\nv b\nv w\ne a - b +\nx a b\n")
+    grown = bidipath.solver.grow_matching
+
+    def unmatching(*args):
+        matcher = grown(*args)
+        matcher.match[4] = matcher.match[5] = -1
+        return matcher
+
+    monkeypatch.setattr("bidipath.solver.grow_matching", unmatching)
+    assert main(["solve", str(path), "--format", "machine"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "bidipath: internal assertion failed:"
+        " matching surplus 0 differs from the 1 X-paths walked\n",
+    )
+
+
 def test_a_vertex_labelled_even_outside_every_tree_exits_3_by_name(tmp_path, capsys, monkeypatch):
     # u = 1 is split into 2 and 3. Its + copy 3 is labelled even before the
     # search, though no tree holds it; the first scan, from 2a = 0, meets it.
     path = tmp_path / "forest.bgf"
     path.write_text("v a\nv u\nv b\ne a - u +\ne u - b +\nx a b\n")
-    seed = _Matcher.seed
+    run = _Matcher.run
 
-    def corrupting(self, edges):
-        seed(self, edges)
+    def corrupting(self):
         self.even[3] = True
+        run(self)
 
-    monkeypatch.setattr(_Matcher, "seed", corrupting)
+    monkeypatch.setattr(_Matcher, "run", corrupting)
     assert main(["solve", str(path), "--format", "machine"]) == 3
     assert capsys.readouterr() == (
         "",

@@ -47,6 +47,21 @@ def test_edge_signs_round_trip():
     assert g.sign(b, e) is PLUS
 
 
+def test_sign_names_a_missing_edge_and_a_vertex_off_the_edge():
+    g = BidirectedMultigraph()
+    a, b, c = g.add_vertices(3)
+    e = g.add_edge(a, MINUS, b, PLUS)
+    with pytest.raises(UnknownVertex, match="^edge 1 does not exist$"):
+        g.sign(a, e + 1)
+    with pytest.raises(UnknownVertex, match="^vertex 2 is not an endpoint of this edge$"):
+        g.sign(c, e)
+
+
+def test_a_signed_path_lists_one_vertex_more_than_edges():
+    with pytest.raises(ValueError, match="^a path on l edges must list l\\+1 vertices$"):
+        SignedPath((0, 1), ())
+
+
 def test_loops_rejected():
     g = BidirectedMultigraph()
     a = g.add_vertices(1)[0]

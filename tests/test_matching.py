@@ -225,8 +225,8 @@ def test_gallai_edmonds_of_auxiliary_graph_from_base_matching(gx):
 
 
 def test_probing_a_non_maximum_matching_names_the_stage():
-    matcher = _Matcher(*flat(path_graph(4)))
-    matcher.seed({1})  # the middle edge alone leaves 0-1=2-3 augmenting
+    # The middle edge alone leaves 0-1=2-3 augmenting.
+    matcher = _Matcher(*flat(path_graph(4)), seed={1})
     with pytest.raises(InternalDualityMismatch, match="gallai-edmonds"):
         matcher.gallai_edmonds()
 
@@ -253,8 +253,7 @@ def test_a_corrupted_forest_names_the_broken_condition(h, labels, v, value, cond
 def cyclic_forest() -> _Matcher:
     """Vertices 0 and 1 matched, and each the parent of the other: every walk
     up the tree from either goes round the pair forever."""
-    matcher = _Matcher(4, [0], [1])
-    matcher.seed([0])
+    matcher = _Matcher(4, [0], [1], seed=[0])
     matcher.parent[0], matcher.parent[1] = 1, 0
     return matcher
 
@@ -280,8 +279,7 @@ def test_a_walk_caught_in_a_cycle_names_itself(walk, name):
 def test_an_even_vertex_outside_every_tree_names_the_forest():
     # Vertex 1 is matched to 2 and labelled even by hand, so it roots no
     # tree: the augmentation from root 0 looks for a tree that is not there.
-    matcher = _Matcher(4, [0, 1, 2], [1, 2, 3])
-    matcher.seed([1])
+    matcher = _Matcher(4, [0, 1, 2], [1, 2, 3], seed=[1])
     matcher.even[1] = True
     with pytest.raises(
         InternalDualityMismatch, match="^forest: an even vertex names root -1, which holds no tree$"

@@ -11,7 +11,7 @@ from bidipath import (
     is_x_path,
 )
 from bidipath import oracle
-from bidipath.errors import LimitExceeded
+from bidipath.errors import LimitExceeded, SideConditionViolated
 from bidipath.oracle import (
     brute_dual_min,
     brute_dual_value,
@@ -175,6 +175,12 @@ def test_brute_dual_value_agrees_with_reference_formula():
         assert brute_dual_value(inst.graph, inst.x, s, t) == dual_value(
             inst.graph, inst.x, s, t
         )
+
+
+def test_brute_dual_value_refuses_a_pair_that_splits_x():
+    g = complete_all_minus(3)
+    with pytest.raises(SideConditionViolated, match="^X ∩ S must equal X ∩ T$"):
+        brute_dual_value(g, {0, 1}, {0}, {1})
 
 
 def test_brute_matching_examples():

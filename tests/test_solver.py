@@ -124,9 +124,8 @@ def test_packing_check_names_the_failed_check():
 def _walk(g, x, seed):
     """The packing read off a matcher holding the given auxiliary edges."""
     aux = auxiliary(g, x)
-    matcher = _Matcher(aux.vertex_count, aux.us, aux.vs)
-    matcher.seed(seed(aux))
-    return aux, matcher, _packing(frozenset(x), aux.split_count, matcher)
+    matcher = _Matcher(aux.vertex_count, aux.us, aux.vs, seed(aux))
+    return aux, matcher, _packing(frozenset(x), aux.split_count, aux.us, aux.vs, matcher.match)
 
 
 def test_walk_takes_an_x_x_edge():
@@ -158,7 +157,9 @@ def test_walk_passes_a_split_edge_both_matchings_hold():
     w = g.add_vertices(1)[0]
     g.add_edge(w, PLUS, 0, PLUS)  # w hangs off u and lies on no X-path
     solution = solve(g, x)
-    assert split_edge(auxiliary(g, x), w) in matched_edges(solution._matcher)
+    aux = auxiliary(g, x)
+    matched = matched_edges(solution._matcher, aux.us, aux.vs, range(aux.split_count))
+    assert split_edge(aux, w) in matched
     assert solution.packing == PackingResult(1, (SignedPath((1, 0, 2, 3), (2, 1, 0)),))
 
 
@@ -503,21 +504,20 @@ def test_solve_reads_no_dual_when_enough_paths_exist(tmp_path, capsys, monkeypat
     solution = solve(g, range(5))
     assert solution.packing.k == 2
     assert "certificate" not in vars(solution)  # the lazy dual was never read
-    # Nor does the hitting-set overlay at k = 2: it draws the two paths.
+    # Nor does the paths overlay: it draws the two paths.
     monkeypatch.setattr(_Matcher, "gallai_edmonds", no_dual)
     path = instance_file(tmp_path, g, range(5))
-    assert main(["export-dot", path, "--overlay", "hitting-set", "-k", "2"]) == 0
+    assert main(["export-dot", path, "--overlay", "paths"]) == 0
     out = capsys.readouterr().out
-    assert 'color="red"' in out and 'color="blue"' in out and "tomato" not in out
+    assert 'color="red"' in out and 'color="blue"' in out
 
 
 def test_solve_rejects_k_zero_before_solving(tmp_path, capsys):
     # X names a vertex the file never declares: read, it is a parse error.
     path = tmp_path / "bad.bgf"
     path.write_text("v a\nv b\ne a - b -\nx a z\n")
-    for argv in (["hitting-set", "-k", "0"], ["export-dot", "--overlay", "hitting-set", "-k", "0"]):
-        assert main([argv[0], str(path), *argv[1:]]) == 1
-        assert capsys.readouterr() == ("", BAD_K)
+    assert main(["hitting-set", str(path), "-k", "0"]) == 1
+    assert capsys.readouterr() == ("", BAD_K)
 
 
 # sha256 of the matchings, packings and certificates below, as recorded with
