@@ -26,7 +26,7 @@ from .errors import (
     UnknownVertex,
 )
 from .generate import generate_instance, parse_sign_dist
-from .solver import solve
+from .solver import HittingSet, paths_or_hitting_set, solve
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,20 +117,18 @@ def _cmd_hitting_set(args) -> int:
     if args.k < 1:
         raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
     instance = parse_instance(_read_text(args.instance))
-    solution = solve(instance.graph, instance.x)
-    if solution.packing.k >= args.k:  # the dual is never read
-        shown = solution.packing.paths[: args.k]
+    result = paths_or_hitting_set(instance.graph, instance.x, args.k)
+    if not isinstance(result, HittingSet):  # K paths; the dual is never read
         if args.format == "machine":
             print("outcome: packing")
             print(f"k: {args.k}")
-            for path in shown:
+            for path in result:
                 print(f"path: {_render_path(instance, path)}")
         else:
             print(f"{args.k} disjoint X-paths exist:")
-            for i, path in enumerate(shown, start=1):
+            for i, path in enumerate(result, start=1):
                 print(f"  path {i}: {_render_path_human(instance, path)}")
         return EXIT_OK
-    result = solution.hitting_set  # reading it audits Y
     if args.format == "machine":
         print("outcome: hitting-set")
         print(f"k: {args.k}")

@@ -7,7 +7,9 @@ once. The matching is kept by vertex only, as each vertex's mate; parallel
 edges stay in the adjacency lists, and a matching never uses two of them.
 When no augmenting path is left the forest is Hungarian: its even vertices
 are the D-set of the Gallai-Edmonds partition, and their other neighbours,
-the A-set, attain the Tutte-Berge minimum.
+the A-set, attain the Tutte-Berge minimum. A run may instead stop after a
+given number of augmentations, for a caller that needs only that many; its
+matching is then valid, but its forest is not read.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ class _Matcher:
         else:
             raise self._cycling("flip", start)
 
-    def run(self) -> None:
-        """Grow the forest until no augmenting path is left.
+    def run(self, limit: int | None = None) -> None:
+        """Grow the forest until no augmenting path is left, or until the
+        `limit`-th augmentation.
 
         Every exposed vertex roots a tree, and one FIFO queue, started in
         ascending id order, scans the even vertices of all trees. An
@@ -153,6 +156,11 @@ class _Matcher:
         in one blossom or one of them odd, or ends the scan at an
         augmentation. An even vertex whose root holds no tree breaks the
         forest, and raises InternalDualityMismatch naming it.
+
+        With a `limit`, the run returns right after that many augmentations
+        (the two trees dissolved, their neighbours not yet re-queued). The
+        matching is then valid but the forest is not Hungarian, so only a
+        run that stopped short of its limit may be read by `gallai_edmonds`.
         """
         n, match, nbrs = self.n, self.match, self.nbrs
         even, parent, base = self.even, self.parent, self.base
@@ -160,6 +168,7 @@ class _Matcher:
         trees: dict[int, list[int]] = {}  # every vertex each tree labelled
         members: dict[int, list[int]] = {}
         queue: deque[int] = deque()
+        augmented = 0
         for v in range(n):
             if match[v] == -1:
                 root[v] = v
@@ -191,6 +200,9 @@ class _Matcher:
                             base[u] = u
                             root[u] = -1
                             members.pop(u, None)
+                        augmented += 1
+                        if augmented == limit:
+                            return
                         queue.extend(sorted({w for u in dissolved for w in nbrs[u] if even[w]}))
                         break
                     if root[to] == -1:  # unlabelled, so matched: grow the tree
@@ -237,11 +249,19 @@ class _Matcher:
 
 
 def grow_matching(
-    vertex_count: int, us: list[int], vs: list[int], seed: Iterable[int] = ()
+    vertex_count: int,
+    us: list[int],
+    vs: list[int],
+    seed: Iterable[int] = (),
+    limit: int | None = None,
 ) -> _Matcher:
     """A matcher holding a maximum matching of the multigraph (us, vs) on
     range(vertex_count), grown from the seed edges, which must form a
-    matching (they are not checked)."""
+    matching (they are not checked).
+
+    With a `limit`, growth stops after that many augmentations; the
+    matching is maximum, and the forest Hungarian, when it made fewer.
+    """
     matcher = _Matcher(vertex_count, us, vs, seed)
-    matcher.run()
+    matcher.run(limit)
     return matcher

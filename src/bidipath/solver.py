@@ -9,7 +9,9 @@ pair (S, T) whose dual value, checked by `dual_value`, equals the packing
 size. Leave-one-out over the restricted graph's components turns (S, T) into
 a hitting set Y of at most 2k - |S∩T| vertices, audited on g by `dual_value`
 before it is returned. `certificate(g, X)` is the one view that returns a
-single part of the answer.
+single part of the answer. The threshold query `paths_or_hitting_set(g, X, k)`
+shares the pipeline up to the walk, but stops the matching after k
+augmentations: it returns k checked paths, or for k > ν the hitting set.
 
 The auxiliary graph has the ids 0 .. 2n-1 and two flat edge lists: edge i
 joins us[i] and vs[i]. Host vertex v owns 2v and 2v+1, so auxiliary vertex a
@@ -38,7 +40,12 @@ from .core import (
     is_x_path,
     restricted_components,
 )
-from .errors import InternalDualityMismatch, SideConditionViolated, UnknownVertex
+from .errors import (
+    InternalDualityMismatch,
+    InvalidParameter,
+    SideConditionViolated,
+    UnknownVertex,
+)
 from .matching import _Matcher, grow_matching
 
 
@@ -251,13 +258,44 @@ class Solution:
         return HittingSet(ys, cert.s, cert.t)
 
 
+def _grow(
+    g: BidirectedMultigraph, x: Iterable[VertexId], limit: int | None = None
+) -> tuple[frozenset[VertexId], PackingResult, _Matcher]:
+    """X checked, the matching of the auxiliary graph grown from its base
+    matching for at most `limit` augmentations, and the paths walked off it."""
+    xs = g.check_vertex_set(x)
+    split_count, us, vs = _auxiliary(g, xs)
+    matcher = grow_matching(2 * g.vertex_count, us, vs, range(split_count), limit)
+    return xs, _packing(xs, split_count, us, vs, matcher.match), matcher
+
+
 def solve(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Solution:
     """Solve (g, X) once: the packing, and on demand its dual pair and the
     hitting set."""
-    xs = g.check_vertex_set(x)
-    split_count, us, vs = _auxiliary(g, xs)
-    matcher = grow_matching(2 * g.vertex_count, us, vs, range(split_count))
-    return Solution(g, xs, _packing(xs, split_count, us, vs, matcher.match), matcher)
+    return Solution(g, *_grow(g, x))
+
+
+def paths_or_hitting_set(
+    g: BidirectedMultigraph, x: Iterable[VertexId], k: int
+) -> tuple[SignedPath, ...] | HittingSet:
+    """k pairwise disjoint X-paths of g, or, when the packing size ν is
+    below k, the hitting set of `Solution.hitting_set` (|Y| <= 2ν - |S∩T|
+    <= 2k - 2).
+
+    Each augmentation of the matching adds one path, so the matching is
+    grown for k augmentations only. If it gets there, its k paths are
+    walked, checked on g and returned; they need not be any k of
+    `solve(g, x).packing.paths` unless k = ν. Otherwise the run was not cut
+    short, the matching is maximum and its forest Hungarian, and the dual
+    is read as `solve` would.
+    """
+    if k < 1:
+        raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
+    xs, packing, matcher = _grow(g, x, k)
+    if packing.k < k:
+        return Solution(g, xs, packing, matcher).hitting_set
+    _check_packing(g, xs, packing.paths)
+    return packing.paths
 
 
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:

@@ -1,10 +1,17 @@
 """BGF parsing, diagnostics, and round-tripping."""
 
-import pytest
+from unittest import mock
 
-from bidipath import MINUS, PLUS, parse_instance, format_instance
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bidipath.bgf
+from bidipath import MINUS, PLUS, format_instance, from_digraph, generate_instance, parse_instance
+from bidipath.bgf import Instance, _parse_lines
 from bidipath.errors import (
     DuplicateVertex,
+    InvalidParameter,
     LoopRejected,
     ParseError,
     UnknownVertex,
@@ -139,3 +146,134 @@ def test_edge_line_diagnostic_order(text, error, message):
         assert (info.value.line, info.value.column) == tuple(
             int(part.split()[1]) for part in message.split(":")[0].split(", ")
         )
+
+
+# Names a BGF text can hold but `from_graph` must refuse, since the text
+# would not parse back to the same names.
+@pytest.mark.parametrize(
+    "names, message",
+    [
+        (("a", "a", "c"), "vertex name 'a' is given twice"),
+        (("a b", "c", "d"), "vertex name 'a b' does not match [A-Za-z0-9_]+"),
+        (("a", "b", "c", "d"), "4 names given for 3 vertices"),
+        (("a", "b"), "2 names given for 3 vertices"),
+    ],
+    ids=["duplicate", "space", "one-too-many", "one-too-few"],
+)
+def test_from_graph_refuses_names_bgf_cannot_write_back(names, message):
+    g = from_digraph(3, [(0, 1), (1, 2)]).freeze()
+    with pytest.raises(InvalidParameter) as info:
+        Instance.from_graph(g, {0, 2}, names)
+    assert str(info.value) == message
+
+
+def outcome(parse, text):
+    """What `parse` makes of the text: the instance's names, X and edge
+    ends, or the type and message of what it raised."""
+    try:
+        instance = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return instance.names, instance.x, list(instance.graph.edge_ends())
+
+
+NAMES = st.text("abvex_09Z", min_size=1, max_size=3)
+SIGNS = st.sampled_from("-+-+-+-+?")
+
+
+@st.composite
+def canonical_texts(draw):
+    """BGF text in the layout `format_instance` writes, with the faults the
+    layout can hold: duplicate names, unknown names, loops, bad signs, an
+    empty x line, and empty blocks."""
+    names = draw(st.lists(NAMES, max_size=6))
+    known = st.sampled_from(names) if names else NAMES
+    name = st.one_of(known, known, known, NAMES)
+    edges = draw(st.lists(st.tuples(name, SIGNS, name, SIGNS), max_size=8))
+    xs = draw(st.lists(st.lists(name, max_size=3), max_size=2))
+    lines = [f"v {v}" for v in names]
+    lines += [f"e {u} {su} {v} {sv}" for u, su, v, sv in edges]
+    lines += [" ".join(["x", *x]) for x in xs]
+    return "".join(line + "\n" for line in lines)
+
+
+def perturb(text, kind, at):
+    """The text with one departure from the canonical layout."""
+    lines = text.splitlines(keepends=True)
+    i = at % (len(lines) + 1)
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind == "comment":
+        return "".join(lines[:i] + ["# note\n"] + lines[i:])
+    if kind == "blank":
+        return "".join(lines[:i] + ["\n"] + lines[i:])
+    if kind in ("tab", "double-space"):
+        spaces = [j for j, c in enumerate(text) if c == " "]
+        if not spaces:
+            return text
+        j = spaces[at % len(spaces)]
+        return text[:j] + ("\t" if kind == "tab" else "  ") + text[j + 1 :]
+    if kind == "no-final-newline":
+        return text[:-1]
+    edges = [line for line in lines if line.startswith("e ")]  # kind == "edge-first"
+    if not edges:
+        return text
+    edge = edges[at % len(edges)]
+    lines.remove(edge)
+    return edge + "".join(lines)
+
+
+PERTURBATIONS = (
+    None, "crlf", "comment", "blank", "tab", "double-space", "no-final-newline", "edge-first",
+)
+
+
+@settings(max_examples=400)
+@given(canonical_texts(), st.sampled_from(PERTURBATIONS), st.integers(0, 100))
+def test_the_bulk_reader_agrees_with_the_line_loop(text, kind, at):
+    if kind is not None:
+        text = perturb(text, kind, at)
+    expected = outcome(_parse_lines, text)
+    assert outcome(parse_instance, text) == expected
+    # Runs of one line or less, and lines longer than a run.
+    with mock.patch.object(bidipath.bgf, "_CHUNK", 12):
+        assert outcome(parse_instance, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "v a\n", "e a - b +\n", "x a\n", "x\n", "v a\nx a\nx a\n", f"v {'a' * (1 << 17)}\n"],
+    ids=["empty", "vertex", "edge-only", "x-only", "bare-x", "two-x-lines", "longer-than-a-run"],
+)
+def test_the_bulk_reader_agrees_with_the_line_loop_on_edge_cases(text):
+    assert outcome(parse_instance, text) == outcome(_parse_lines, text)
+
+
+# The sign families of the benchmark's workloads.
+BENCH_FAMILIES = (
+    None,
+    {"--": 0, "-+": 1, "+-": 0, "++": 0},
+    {"--": 1, "-+": 0, "+-": 0, "++": 1},
+    {"--": 3, "-+": 1, "+-": 1, "++": 1},
+)
+
+
+def test_format_instance_output_never_reaches_the_line_loop(monkeypatch):
+    def refused(text):
+        raise AssertionError("canonical text reached the line loop")
+
+    # n = 3000 writes about 170 KB: more than one run of e lines.
+    expected = [
+        generate_instance(n, 3 * n, 0.2, family, n)
+        for family in BENCH_FAMILIES
+        for n in (2, 40, 600, 3000)
+    ]
+    monkeypatch.setattr(bidipath.bgf, "_parse_lines", refused)
+    # A run of 16 characters is shorter than most lines, and than every x line.
+    for chunk in (bidipath.bgf._CHUNK, 16):
+        monkeypatch.setattr(bidipath.bgf, "_CHUNK", chunk)
+        for instance in expected:
+            again = parse_instance(format_instance(instance))
+            assert again.names == instance.names
+            assert again.x == instance.x
+            assert list(again.graph.edge_ends()) == list(instance.graph.edge_ends())

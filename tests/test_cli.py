@@ -631,24 +631,42 @@ def test_a_matching_surplus_unlike_the_paths_walked_exits_3_by_name(
     )
 
 
-def test_a_vertex_labelled_even_outside_every_tree_exits_3_by_name(tmp_path, capsys, monkeypatch):
-    # u = 1 is split into 2 and 3. Its + copy 3 is labelled even before the
-    # search, though no tree holds it; the first scan, from 2a = 0, meets it.
+def corrupt_forest(tmp_path, monkeypatch):
+    """An instance file whose matcher labels a vertex even outside every tree.
+
+    u = 1 is split into 2 and 3. Its + copy 3 is labelled even before the
+    search, though no tree holds it; the first scan, from 2a = 0, meets it.
+    """
     path = tmp_path / "forest.bgf"
     path.write_text("v a\nv u\nv b\ne a - u +\ne u - b +\nx a b\n")
     run = _Matcher.run
 
-    def corrupting(self):
+    def corrupting(self, limit=None):
         self.even[3] = True
-        run(self)
+        run(self, limit)
 
     monkeypatch.setattr(_Matcher, "run", corrupting)
+    return path
+
+
+FOREST_FAULT = (
+    "",
+    "bidipath: internal assertion failed:"
+    " forest: an even vertex names root -1, which holds no tree\n",
+)
+
+
+def test_a_vertex_labelled_even_outside_every_tree_exits_3_by_name(tmp_path, capsys, monkeypatch):
+    path = corrupt_forest(tmp_path, monkeypatch)
     assert main(["solve", str(path), "--format", "machine"]) == 3
-    assert capsys.readouterr() == (
-        "",
-        "bidipath: internal assertion failed:"
-        " forest: an even vertex names root -1, which holds no tree\n",
-    )
+    assert capsys.readouterr() == FOREST_FAULT
+
+
+def test_a_forest_fault_on_the_threshold_path_exits_3_by_name(tmp_path, capsys, monkeypatch):
+    # hitting-set grows the matching with a limit of K augmentations.
+    path = corrupt_forest(tmp_path, monkeypatch)
+    assert main(["hitting-set", str(path), "-k", "1", "--format", "machine"]) == 3
+    assert capsys.readouterr() == FOREST_FAULT
 
 
 def test_a_lopsided_certificate_fails_the_hitting_set_audit_by_name(k5_file, capsys, monkeypatch):
@@ -804,10 +822,11 @@ def test_a_packing_that_fails_its_check_exits_3(k5_file, capsys, monkeypatch):
 
 
 # sha256 of the exit codes and `--format machine` stdout of `solve` and
-# `hitting-set` below, as recorded with the one-forest matcher; a faster
-# parse or build must reproduce the rendered bytes, not just the library
-# objects.
-RECORDED_CLI_DIGEST = "6017c51dc85bbb3d56688e3a6f0a58caa5695cb108bd2a5b769d623da45cbc45"
+# `hitting-set` below, as recorded with the one-forest matcher, whose
+# `hitting-set -k K` packing answers print the K paths of a matching grown
+# to K augmentations; a faster parse or build must reproduce the rendered
+# bytes, not just the library objects.
+RECORDED_CLI_DIGEST = "ad8884d19e5ec84039747fa9c8e95f528416ba0c86e815836ce2f06e43f08a25"
 CLI_DIGEST_FAMILIES = (
     None,  # uniform
     {"--": 0, "-+": 1, "+-": 0, "++": 0},  # directed

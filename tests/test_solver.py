@@ -26,12 +26,13 @@ from bidipath.cli import main
 from bidipath.core import delete_vertices
 from bidipath.errors import (
     InternalDualityMismatch,
+    InvalidParameter,
     SideConditionViolated,
     UnknownVertex,
 )
-from bidipath.matching import _Matcher
+from bidipath.matching import _Matcher, grow_matching
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
-from bidipath.solver import _check_packing, _packing
+from bidipath.solver import _auxiliary, _check_packing, _packing, paths_or_hitting_set
 from helpers import (
     auxiliary,
     auxiliary_multigraph,
@@ -45,6 +46,7 @@ from helpers import (
     random_admissible_pair,
     random_instance,
     random_multigraph,
+    sign_broken_chain,
     split_edge,
     verify_component_correspondence,
 )
@@ -382,6 +384,49 @@ def test_hitting_set_rejects_k_zero(tmp_path, capsys):
     path = instance_file(tmp_path, complete_all_minus(3), range(3))
     assert main(["hitting-set", path, "-k", "0"]) == 1
     assert capsys.readouterr() == ("", BAD_K)
+
+
+def threshold_instances():
+    """Random instances of the four benchmark families up to n = 300, and
+    sign-broken chains (ν = 0)."""
+    for i, (sign_dist, x_frac) in enumerate(SIGN_FAMILIES):
+        for n in (12, 60, 300):
+            instance = generate_instance(n, 3 * n, x_frac, sign_dist, 1000 * i + n)
+            yield pytest.param(instance, id=f"family{i}-n{n}")
+    for length in (5, 40):
+        yield pytest.param(sign_broken_chain(random.Random(length), length), id=f"chain-{length}")
+
+
+@pytest.mark.parametrize("instance", list(threshold_instances()))
+def test_a_threshold_query_returns_k_paths_exactly_when_nu_is_at_least_k(instance):
+    g, x = instance.graph, instance.x
+    solution = solve(g, x)
+    nu = solution.packing.k
+    for k in sorted({1, 2, nu, nu + 1} - {0}):
+        answer = paths_or_hitting_set(g, x, k)
+        if k > nu:
+            assert answer == solution.hitting_set
+            continue
+        assert isinstance(answer, tuple) and len(answer) == k
+        _check_packing(g, x, answer)
+        if k == nu:
+            assert answer == solution.packing.paths
+
+
+@pytest.mark.parametrize("instance", list(threshold_instances()))
+def test_a_limited_matching_carries_the_limit_when_nu_reaches_it(instance):
+    g, x = instance.graph, instance.x
+    nu = solve(g, x).packing.k
+    split_count, us, vs = _auxiliary(g, x)
+    for limit in range(1, nu + 2):
+        match = grow_matching(2 * g.vertex_count, us, vs, range(split_count), limit).match
+        surplus = (len(match) - match.count(-1)) // 2 - split_count
+        assert surplus == min(limit, nu)
+
+
+def test_a_threshold_query_needs_k_at_least_1():
+    with pytest.raises(InvalidParameter, match="requires k >= 1"):
+        paths_or_hitting_set(complete_all_minus(3), range(3), 0)
 
 
 def test_hitting_set_random_instances_audited_by_oracle():
