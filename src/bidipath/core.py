@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -226,52 +227,26 @@ def is_x_path(g: BidirectedMultigraph, x: Iterable[VertexId], p: SignedPath) -> 
     return all(v not in xs for v in p.vertices[1:-1])
 
 
-def weak_components(
-    vertex_count: int, pairs: Iterable[tuple[int, int]]
-) -> list[list[int]]:
-    """Connected components of the multigraph on range(vertex_count) with the
-    edges `pairs`, as sorted vertex lists ordered by minimum id.
-
-    Isolated vertices form singleton components.
-    """
-    parent = list(range(vertex_count))
-    # Union-find with path halving, inlined: no function call per endpoint.
-    for u, v in pairs:
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-    groups: dict[int, list[int]] = {}
-    for v in range(vertex_count):
-        root = v
-        while parent[root] != root:
-            parent[root] = root = parent[parent[root]]
-        groups.setdefault(root, []).append(v)
-    return sorted(groups.values(), key=lambda c: c[0])
-
-
 _ANY_SIGN = (MINUS, PLUS)
 _MINUS_ONLY = (MINUS,)
 _PLUS_ONLY = (PLUS,)
 _NO_SIGN = ()
 
 
-def restricted_components(
+def restricted_roots(
     g: BidirectedMultigraph,
-    s: Iterable[VertexId],
-    t: Iterable[VertexId],
-) -> list[list[int]]:
-    """The components of the restricted graph B_{S,T}, as weak_components
-    orders them.
+    ss: frozenset[VertexId],
+    ts: frozenset[VertexId],
+    vs: Iterable[VertexId],
+) -> list[VertexId]:
+    """The root of each vertex of `vs`, in order, in one union-find forest of
+    the restricted graph B_{S,T}: two vertices share a root exactly when they
+    share a component. S and T are checked vertex sets of g.
 
     B_{S,T} keeps every vertex of g and exactly those edges all of whose ends
     v satisfy: v outside S∪T, or v in S∖T with sign -, or v in T∖S with
     sign +. Every vertex of S∩T is therefore isolated.
     """
-    ss = g.check_vertex_set(s)
-    ts = g.check_vertex_set(t)
     # The signs an edge end may carry at each vertex and still be kept.
     allowed = [_ANY_SIGN] * g.vertex_count
     for v in ss - ts:
@@ -280,12 +255,22 @@ def restricted_components(
         allowed[v] = _PLUS_ONLY
     for v in ss & ts:
         allowed[v] = _NO_SIGN
-    kept = (
-        (u, v)
-        for u, sign_u, v, sign_v in g.edge_ends()
-        if sign_u in allowed[u] and sign_v in allowed[v]
-    )
-    return weak_components(g.vertex_count, kept)
+    parent = list(range(g.vertex_count))
+    # Union-find with path halving, inlined: no function call per endpoint.
+    for u, sign_u, v, sign_v in g.edge_ends():
+        if sign_u in allowed[u] and sign_v in allowed[v]:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+    roots = []
+    for v in vs:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        roots.append(v)
+    return roots
 
 
 def dual_value(
@@ -303,11 +288,8 @@ def dual_value(
     ts = g.check_vertex_set(t)
     if xs & ss != xs & ts:
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    marked = xs | ss | ts
-    total = len(ss & ts)
-    for comp in restricted_components(g, ss, ts):
-        total += sum(1 for v in comp if v in marked) // 2
-    return total
+    marked = Counter(restricted_roots(g, ss, ts, xs | ss | ts))
+    return len(ss & ts) + sum(c // 2 for c in marked.values())
 
 
 def delete_vertices(

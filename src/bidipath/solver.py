@@ -10,8 +10,11 @@ size. Leave-one-out over the restricted graph's components turns (S, T) into
 a hitting set Y of at most 2k - |S∩T| vertices, audited on g by `dual_value`
 before it is returned. `certificate(g, X)` is the one view that returns a
 single part of the answer. The threshold query `paths_or_hitting_set(g, X, k)`
-shares the pipeline up to the walk, but stops the matching after k
-augmentations: it returns k checked paths, or for k > ν the hitting set.
+first scans the host edges for k disjoint ones joining two X-vertices, each
+an X-path, and returns them checked without building the auxiliary graph.
+When the scan falls short it shares the pipeline up to the walk, but stops
+the matching after k augmentations: it returns k checked paths, which at
+k = ν are `solve`'s, or for k > ν the hitting set.
 
 The auxiliary graph has the ids 0 .. 2n-1 and two flat edge lists: edge i
 joins us[i] and vs[i]. Host vertex v owns 2v and 2v+1, so auxiliary vertex a
@@ -38,7 +41,7 @@ from .core import (
     VertexId,
     dual_value,
     is_x_path,
-    restricted_components,
+    restricted_roots,
 )
 from .errors import (
     InternalDualityMismatch,
@@ -169,6 +172,26 @@ def _check_packing(
         seen.update(p.vertices)
 
 
+def _leave_one_out(
+    g: BidirectedMultigraph,
+    s: frozenset[VertexId],
+    t: frozenset[VertexId],
+    marked: Iterable[VertexId],
+) -> list[VertexId]:
+    """The marked vertices, in ascending id order, whose component of the
+    restricted graph B_{S,T} an earlier marked vertex already claimed: all
+    but the minimum-id marked member of each component."""
+    order = sorted(marked)
+    claimed: set[VertexId] = set()
+    out = []
+    for v, root in zip(order, restricted_roots(g, s, t, order)):
+        if root in claimed:
+            out.append(v)
+        else:
+            claimed.add(root)
+    return out
+
+
 class Solution:
     """The answer for one instance (g, X), from one auxiliary graph and one
     maximum matching; made by `solve`.
@@ -237,17 +260,14 @@ class Solution:
         """A vertex set Y with |Y| <= 2k - |S∩T| meeting every X-path, for
         the packing size k.
 
-        Y combines S∩T with, per restricted component, all but the minimum-id
-        member of its marked vertices, audited on g before it is returned. A
-        component with m marked vertices adds m - 1 <= 2⌊m/2⌋, and the dual
-        value k is |S∩T| plus the sum of the ⌊m/2⌋.
+        Y combines S∩T with the marked vertices `_leave_one_out` selects,
+        audited on g before it is returned. A component with m marked
+        vertices adds m - 1 <= 2⌊m/2⌋, and the dual value k is |S∩T| plus
+        the sum of the ⌊m/2⌋.
         """
         cert = self.certificate
-        marked = self.x | cert.s | cert.t
         y = set(cert.s & cert.t)
-        for comp in restricted_components(self.g, cert.s, cert.t):
-            members = [v for v in comp if v in marked]
-            y.update(members[1:])
+        y.update(_leave_one_out(self.g, cert.s, cert.t, self.x | cert.s | cert.t))
         bound = 2 * self.packing.k - len(cert.s & cert.t)
         if len(y) > bound:
             raise InternalDualityMismatch(
@@ -259,20 +279,44 @@ class Solution:
 
 
 def _grow(
-    g: BidirectedMultigraph, x: Iterable[VertexId], limit: int | None = None
-) -> tuple[frozenset[VertexId], PackingResult, _Matcher]:
-    """X checked, the matching of the auxiliary graph grown from its base
-    matching for at most `limit` augmentations, and the paths walked off it."""
-    xs = g.check_vertex_set(x)
+    g: BidirectedMultigraph, xs: frozenset[VertexId], limit: int | None = None
+) -> tuple[PackingResult, _Matcher]:
+    """The matching of the auxiliary graph of (g, X), X checked, grown from
+    its base matching for at most `limit` augmentations, and the paths
+    walked off it."""
     split_count, us, vs = _auxiliary(g, xs)
     matcher = grow_matching(2 * g.vertex_count, us, vs, range(split_count), limit)
-    return xs, _packing(xs, split_count, us, vs, matcher.match), matcher
+    return _packing(xs, split_count, us, vs, matcher.match), matcher
 
 
 def solve(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Solution:
     """Solve (g, X) once: the packing, and on demand its dual pair and the
     hitting set."""
-    return Solution(g, *_grow(g, x))
+    xs = g.check_vertex_set(x)
+    return Solution(g, xs, *_grow(g, xs))
+
+
+def _x_edge_paths(
+    g: BidirectedMultigraph, xs: frozenset[VertexId], k: int
+) -> list[SignedPath]:
+    """Up to k pairwise disjoint X-paths of one edge each: the host edges, in
+    id order, that join two X-vertices no earlier kept edge has used.
+
+    Each path runs from its lower-id end, and the paths are ordered by it:
+    the orientation and order of `_packing`. The scan meets the lowest id
+    joining two ends first, the name `_packing` gives that edge.
+    """
+    used: set[VertexId] = set()
+    ends: list[tuple[VertexId, VertexId, int]] = []
+    for e, (u, _, v, _) in enumerate(g.edge_ends()):
+        if u in xs and v in xs and u not in used and v not in used:
+            used.add(u)
+            used.add(v)
+            ends.append((u, v, e) if u < v else (v, u, e))
+            if len(ends) == k:
+                break
+    ends.sort()
+    return [SignedPath((u, v), (e,)) for u, v, e in ends]
 
 
 def paths_or_hitting_set(
@@ -282,20 +326,27 @@ def paths_or_hitting_set(
     below k, the hitting set of `Solution.hitting_set` (|Y| <= 2ν - |S∩T|
     <= 2k - 2).
 
-    Each augmentation of the matching adds one path, so the matching is
-    grown for k augmentations only. If it gets there, its k paths are
-    walked, checked on g and returned; they need not be any k of
-    `solve(g, x).packing.paths` unless k = ν. Otherwise the run was not cut
-    short, the matching is maximum and its forest Hungarian, and the dual
-    is read as `solve` would.
+    An edge joining two X-vertices is an X-path, and needs no auxiliary
+    graph: if the scan of `_x_edge_paths` keeps k such edges, they are
+    checked on g and returned. The scan is greedy, so it may fall short
+    though g holds k disjoint ones. Then each
+    augmentation of the matching adds one path, so the matching is grown for
+    k augmentations only. If it gets there, its k paths are walked, checked
+    on g and returned; at k = ν they are `solve(g, x).packing.paths`.
+    Otherwise the run was not cut short, the matching is maximum and its
+    forest Hungarian, and the dual is read as `solve` would.
     """
     if k < 1:
         raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
-    xs, packing, matcher = _grow(g, x, k)
-    if packing.k < k:
-        return Solution(g, xs, packing, matcher).hitting_set
-    _check_packing(g, xs, packing.paths)
-    return packing.paths
+    xs = g.check_vertex_set(x)
+    paths = _x_edge_paths(g, xs, k)
+    if len(paths) < k:
+        packing, matcher = _grow(g, xs, k)
+        if packing.k < k:
+            return Solution(g, xs, packing, matcher).hitting_set
+        paths = packing.paths
+    _check_packing(g, xs, paths)
+    return tuple(paths)
 
 
 def certificate(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Certificate:

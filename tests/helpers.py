@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, is_x_path
 from bidipath.bgf import Instance
-from bidipath.core import restricted_components
 from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
 from bidipath.matching import _Matcher, grow_matching
@@ -181,6 +180,55 @@ def sign_broken_chain(rng: random.Random, length: int) -> Instance:
     for i in range(length - 1):
         g.add_edge(i, near[i], i + 1, far[i])
     return Instance.from_graph(g.freeze(), frozenset({0, length - 1}))
+
+
+def weak_components(
+    vertex_count: int, pairs: Iterable[tuple[int, int]]
+) -> list[list[int]]:
+    """Connected components of the multigraph on range(vertex_count) with the
+    edges `pairs`, as sorted vertex lists ordered by minimum id.
+
+    Isolated vertices form singleton components.
+    """
+    parent = list(range(vertex_count))
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+    groups: dict[int, list[int]] = {}
+    for v in range(vertex_count):
+        root = v
+        while parent[root] != root:
+            parent[root] = root = parent[parent[root]]
+        groups.setdefault(root, []).append(v)
+    return sorted(groups.values(), key=lambda c: c[0])
+
+
+def restricted_components(
+    g: BidirectedMultigraph,
+    s: Iterable[int],
+    t: Iterable[int],
+) -> list[list[int]]:
+    """The components of the restricted graph B_{S,T}, as weak_components
+    orders them.
+
+    B_{S,T} keeps every vertex of g and exactly those edges all of whose ends
+    v satisfy: v outside S∪T, or v in S∖T with sign -, or v in T∖S with
+    sign +. Every vertex of S∩T is therefore isolated.
+    """
+    ss = g.check_vertex_set(s)
+    ts = g.check_vertex_set(t)
+    either = ss | ts
+    only = {**{v: MINUS for v in ss - ts}, **{v: PLUS for v in ts - ss}}
+
+    def kept(v, sign):
+        return v not in either or only.get(v) is sign
+
+    pairs = ((u, v) for u, su, v, sv in g.edge_ends() if kept(u, su) and kept(v, sv))
+    return weak_components(g.vertex_count, pairs)
 
 
 def bfs_components(h: Multigraph) -> list[list[int]]:

@@ -544,9 +544,7 @@ def test_putting_back_a_vertex_of_y_that_reopens_an_x_path_fails_the_audit():
 
 def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
     # One marked vertex per component keeps only S∩T in Y, which misses paths.
-    monkeypatch.setattr(
-        "bidipath.solver.restricted_components", lambda g, s, t: [[v] for v in g.vertices()]
-    )
+    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda g, s, t, marked: [])
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""  # a failed answer is never printed
@@ -557,12 +555,9 @@ def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
 def test_a_selection_keeping_every_marked_vertex_fails_the_bound_by_name(
     k5_file, capsys, monkeypatch
 ):
-    # Listing each vertex twice puts every marked vertex of a component in Y:
-    # all five of K5's, one more than 2k - |S∩T| = 4.
-    monkeypatch.setattr(
-        "bidipath.solver.restricted_components",
-        lambda g, s, t: [[v, v] for v in g.vertices()],
-    )
+    # Selecting every marked vertex puts all five of K5's in Y, one more
+    # than 2k - |S∩T| = 4.
+    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda g, s, t, marked: sorted(marked))
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -823,10 +818,11 @@ def test_a_packing_that_fails_its_check_exits_3(k5_file, capsys, monkeypatch):
 
 # sha256 of the exit codes and `--format machine` stdout of `solve` and
 # `hitting-set` below, as recorded with the one-forest matcher, whose
-# `hitting-set -k K` packing answers print the K paths of a matching grown
-# to K augmentations; a faster parse or build must reproduce the rendered
-# bytes, not just the library objects.
-RECORDED_CLI_DIGEST = "ad8884d19e5ec84039747fa9c8e95f528416ba0c86e815836ce2f06e43f08a25"
+# `hitting-set -k K` packing answers print the first K disjoint X–X edges
+# when there are K, and else the K paths of a matching grown to K
+# augmentations; a faster parse or build must reproduce the rendered bytes,
+# not just the library objects.
+RECORDED_CLI_DIGEST = "bad8147fcc42b523c4346083899c3474f12a8f5ae8657a7c64dcd03b03c2dd64"
 CLI_DIGEST_FAMILIES = (
     None,  # uniform
     {"--": 0, "-+": 1, "+-": 0, "++": 0},  # directed

@@ -15,12 +15,7 @@ from bidipath import (
     is_x_path,
     solve,
 )
-from bidipath.core import (
-    delete_vertices,
-    is_valid_path,
-    restricted_components,
-    weak_components,
-)
+from bidipath.core import delete_vertices, is_valid_path, restricted_roots
 from bidipath.errors import (
     GraphFrozen,
     InvalidParameter,
@@ -28,7 +23,15 @@ from bidipath.errors import (
     SideConditionViolated,
     UnknownVertex,
 )
-from helpers import SIGNS, bfs_components, complete_all_minus, graph_and_x, multigraphs
+from helpers import (
+    SIGNS,
+    bfs_components,
+    complete_all_minus,
+    graph_and_x,
+    multigraphs,
+    restricted_components,
+    weak_components,
+)
 
 
 def test_vertex_ids_are_sequential():
@@ -343,6 +346,18 @@ def test_restrict_is_monotone_destructive(gx, data):
     whole = {v: i for i, comp in enumerate(restricted_components(g, (), ())) for v in comp}
     for comp in comps:
         assert len({whole[v] for v in comp}) == 1
+
+
+@given(graph_and_x(), st.data())
+def test_restricted_roots_are_shared_exactly_within_a_component(gx, data):
+    g, _ = gx
+    n = g.vertex_count
+    s = data.draw(st.frozensets(st.integers(0, n - 1)))
+    t = data.draw(st.frozensets(st.integers(0, n - 1)))
+    roots = restricted_roots(g, s, t, range(n))
+    comps = restricted_components(g, s, t)
+    assert all(len({roots[v] for v in comp}) == 1 for comp in comps)
+    assert len(set(roots)) == len(comps)
 
 
 def test_weak_components_edgeless():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bidipath.core import weak_components
 from bidipath.errors import InternalDualityMismatch
 from bidipath.matching import _Matcher, grow_matching
 from bidipath.oracle import brute_matching
@@ -21,6 +20,7 @@ from helpers import (
     partition,
     random_multigraph,
     tutte_berge_value,
+    weak_components,
 )
 
 

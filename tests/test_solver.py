@@ -286,6 +286,10 @@ def no_dual(self):
     raise AssertionError("the Gallai-Edmonds partition was read")
 
 
+def no_auxiliary(g, xs):
+    raise AssertionError("the auxiliary graph was built")
+
+
 def test_hitting_set_k5_remark_instance():
     g = complete_all_minus(5)
     result = solve(g, range(5)).hitting_set
@@ -296,9 +300,7 @@ def test_hitting_set_k5_remark_instance():
 def test_hitting_set_is_audited_before_it_is_returned(monkeypatch):
     # One marked vertex per component keeps only S∩T in Y, which leaves
     # X-paths open: the audit on g must refuse that Y.
-    monkeypatch.setattr(
-        "bidipath.solver.restricted_components", lambda g, s, t: [[v] for v in g.vertices()]
-    )
+    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda g, s, t, marked: [])
     g = complete_all_minus(5)
     with pytest.raises(InternalDualityMismatch, match="hitting-set audit failed"):
         solve(g, range(5)).hitting_set
@@ -422,6 +424,89 @@ def test_a_limited_matching_carries_the_limit_when_nu_reaches_it(instance):
         match = grow_matching(2 * g.vertex_count, us, vs, range(split_count), limit).match
         surplus = (len(match) - match.count(-1)) // 2 - split_count
         assert surplus == min(limit, nu)
+
+
+def kept_x_edges(g, x):
+    """Every edge, in id order, joining two X-vertices that no earlier kept
+    edge has used, as (lower end, higher end, id)."""
+    used, kept = set(), []
+    for e, (u, _, v, _) in enumerate(g.edge_ends()):
+        if {u, v} <= set(x) and not {u, v} & used:
+            used |= {u, v}
+            kept.append((min(u, v), max(u, v), e))
+    return kept
+
+
+def stopped_matching_paths(g, x, k):
+    """The paths of the matching grown for k augmentations."""
+    split_count, us, vs = _auxiliary(g, frozenset(x))
+    match = grow_matching(2 * g.vertex_count, us, vs, range(split_count), k).match
+    return _packing(frozenset(x), split_count, us, vs, match).paths
+
+
+@pytest.mark.parametrize("instance", list(threshold_instances()))
+def test_a_threshold_query_answers_from_the_first_k_disjoint_x_edges(instance):
+    g, x = instance.graph, instance.x
+    solution = solve(g, x)
+    nu, kept = solution.packing.k, kept_x_edges(g, x)
+    assert len(kept) <= nu
+    for k in sorted({1, 2, len(kept), len(kept) + 1, nu, nu + 1} - {0}):
+        answer = paths_or_hitting_set(g, x, k)
+        if k <= len(kept):
+            first = sorted(kept[:k])
+            assert answer == tuple(SignedPath((u, v), (e,)) for u, v, e in first)
+        elif k <= nu:
+            assert answer == stopped_matching_paths(g, x, k)
+        else:
+            assert answer == solution.hitting_set
+
+
+def test_parallel_x_edges_are_named_by_the_lower_id(monkeypatch):
+    monkeypatch.setattr("bidipath.solver._auxiliary", no_auxiliary)
+    g = BidirectedMultigraph()
+    a, b = g.add_vertices(2)
+    g.add_edge(b, PLUS, a, PLUS)
+    g.add_edge(a, MINUS, b, MINUS)
+    assert paths_or_hitting_set(g, {a, b}, 1) == (SignedPath((a, b), (0,)),)
+
+
+def test_an_x_edge_meeting_a_kept_one_is_skipped(monkeypatch):
+    monkeypatch.setattr("bidipath.solver._auxiliary", no_auxiliary)
+    g = BidirectedMultigraph()
+    a, b, c, d = g.add_vertices(4)
+    g.add_edge(c, MINUS, d, PLUS)
+    g.add_edge(b, MINUS, c, PLUS)  # meets c, used by edge 0
+    g.add_edge(b, PLUS, a, MINUS)
+    assert paths_or_hitting_set(g, range(4), 2) == (
+        SignedPath((a, b), (2,)),
+        SignedPath((c, d), (0,)),
+    )
+
+
+def test_an_x_edge_is_an_x_path_whatever_its_signs(monkeypatch):
+    monkeypatch.setattr("bidipath.solver._auxiliary", no_auxiliary)
+    g = BidirectedMultigraph()
+    g.add_vertices(8)
+    for i, (sign_u, sign_v) in enumerate([(MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS)]):
+        g.add_edge(2 * i, sign_u, 2 * i + 1, sign_v)
+    answer = paths_or_hitting_set(g, range(8), 4)
+    assert answer == tuple(SignedPath((2 * i, 2 * i + 1), (i,)) for i in range(4))
+
+
+def test_too_few_disjoint_x_edges_leave_the_answer_to_the_matching():
+    # a - b - c - d, all in X: the scan keeps b-c (edge 0) and then neither
+    # of the others, but a-b and c-d are two disjoint X-paths.
+    g = BidirectedMultigraph()
+    a, b, c, d = g.add_vertices(4)
+    g.add_edge(b, MINUS, c, MINUS)
+    g.add_edge(a, PLUS, b, PLUS)
+    g.add_edge(c, PLUS, d, MINUS)
+    assert paths_or_hitting_set(g, range(4), 1) == (SignedPath((b, c), (0,)),)
+    assert paths_or_hitting_set(g, range(4), 2) == (
+        SignedPath((a, b), (1,)),
+        SignedPath((c, d), (2,)),
+    )
+    assert paths_or_hitting_set(g, range(4), 3) == solve(g, range(4)).hitting_set
 
 
 def test_a_threshold_query_needs_k_at_least_1():
