@@ -19,6 +19,7 @@ fault, with its line and column.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -90,10 +91,12 @@ def parse_instance(text: str) -> Instance:
     """Parse BGF text; diagnostics carry 1-based line and column.
 
     Vertex ids follow declaration order. The edges are collected as four
-    parallel lists and written to the graph in one `add_edges` call. Text in
-    the canonical layout is read in bulk; the line loop `_parse_lines` reads
-    any other text and any canonical text the bulk read refuses, and so
-    names every fault.
+    parallel lists and written to the graph in one append, unchecked: every
+    id came out of the parse's own name table and every sign out of
+    `_SIGNS`, and each read refuses loops itself. Text in the canonical
+    layout is read in bulk; the line loop `_parse_lines` reads any other
+    text and any canonical text the bulk read refuses, and so names every
+    fault.
     """
     instance = _parse_canonical(text)
     return instance if instance is not None else _parse_lines(text)
@@ -120,8 +123,7 @@ def _parse_canonical(text: str) -> Instance | None:
 
     Past the layout check every step runs in C: one split of the v block,
     and one of each run of e lines, whose tokens are resolved by `map` over
-    the name and sign tables. The graph's one writer, `add_edges`, checks
-    the edges.
+    the name and sign tables, and one test for a loop.
     """
     e_cuts = _cuts(_E_LINES, text, _cuts(_V_LINES, text, 0)[-1])
     if _cuts(_X_LINES, text, e_cuts[-1])[-1] != len(text):
@@ -138,8 +140,6 @@ def _parse_canonical(text: str) -> Instance | None:
     vs: list[VertexId] = [0] * count
     svs: list[Sign] = [MINUS] * count
     x: set[VertexId] = set()
-    graph = BidirectedMultigraph()
-    graph.add_vertices(len(names))
     i = 0
     try:
         for start, end in zip(e_cuts, e_cuts[1:]):
@@ -152,9 +152,13 @@ def _parse_canonical(text: str) -> Instance | None:
             i = j
         for line in text[e_cuts[-1] :].splitlines():
             x.update(map(ids.__getitem__, line.split()[1:]))
-        graph.add_edges(us, sus, vs, svs)
-    except (KeyError, LoopRejected):
+    except KeyError:
         return None
+    if any(map(operator.eq, us, vs)):
+        return None
+    graph = BidirectedMultigraph()
+    graph.add_vertices(len(names))
+    graph._append(us, sus, vs, svs)
     return Instance(graph.freeze(), frozenset(x), tuple(names))
 
 
@@ -231,7 +235,7 @@ def _parse_lines(text: str) -> Instance:
             fail(0, f"unknown directive {directive!r}")
     graph = BidirectedMultigraph()
     graph.add_vertices(len(names))
-    graph.add_edges(us, sus, vs, svs)
+    graph._append(us, sus, vs, svs)
     return Instance(graph.freeze(), frozenset(x), tuple(names))
 
 

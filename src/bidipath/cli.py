@@ -1,8 +1,9 @@
 """Command-line interface: solve, hitting-set, convert, generate, export-dot, verify.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 internal assertion
-failure (a certified quantity failed to verify, or any other unexpected
-error; either indicates a bug).
+Exit codes: 0 success, 1 usage error (an unreadable input file or running
+out of memory included), 2 parse error, 3 internal assertion failure (a
+certified quantity failed to verify, or any other unexpected error; either
+indicates a bug).
 """
 
 from __future__ import annotations
@@ -344,9 +345,14 @@ def _run(argv) -> int:
     except (OSError, BidipathError) as exc:  # OSError: an unreadable input file
         print(f"bidipath: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:
+        pass  # reported below, once the frames the error holds are freed
     except Exception as exc:  # any other escape is a bug: one line, no traceback
         print(f"bidipath: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    # An input too large for the memory at hand is not a bug.
+    print("bidipath: out of memory", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

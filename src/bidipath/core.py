@@ -56,10 +56,12 @@ class BidirectedMultigraph:
     as distinct edges (even with identical sign pairs); loops are rejected.
 
     Edges are stored as four parallel lists indexed by edge id: the two
-    endpoints and their signs. `add_edges` is the one writer and appends a
-    whole batch; `add_edge` is a batch of one. Nothing derived is kept: no
-    incidence lists and no edge objects. `edge_ends()` is the bulk read, and
-    a caller that walks adjacency (the oracle) indexes its own from it.
+    endpoints and their signs. `_append` is the one code that extends them,
+    with a batch its caller has checked: `add_edges` checks a whole batch
+    first, `add_edge` is a batch of one, and the BGF parse appends the lists
+    it resolved from its own name and sign tables. Nothing derived is kept:
+    no incidence lists and no edge objects. `edge_ends()` is the bulk read,
+    and a caller that walks adjacency (the oracle) indexes its own from it.
     """
 
     def __init__(self) -> None:
@@ -118,12 +120,23 @@ class BidirectedMultigraph:
                 for sign in (sign_u, sign_v):
                     if type(sign) is not Sign:
                         raise InvalidParameter(f"end-sign {sign!r} is not a Sign")
+        return self._append(us, sus, vs, svs)
+
+    def _append(
+        self,
+        us: Sequence[VertexId],
+        sus: Sequence[Sign],
+        vs: Sequence[VertexId],
+        svs: Sequence[Sign],
+    ) -> range:
+        """Append edges that are known good, unchecked: four lists of equal
+        length, ids that are ints in range, no loops, and `Sign` end-signs."""
         first = len(self._u)
         self._u += us
         self._sign_u += sus
         self._v += vs
         self._sign_v += svs
-        return range(first, first + count)
+        return range(first, first + len(us))
 
     def add_edge(self, u: VertexId, sign_u: Sign, v: VertexId, sign_v: Sign) -> EdgeId:
         """Append an edge with the given end-signs and return its id."""
@@ -256,7 +269,8 @@ def restricted_roots(
     for v in ss & ts:
         allowed[v] = _NO_SIGN
     parent = list(range(g.vertex_count))
-    # Union-find with path halving, inlined: no function call per endpoint.
+    size = [1] * g.vertex_count
+    # Union by size with path halving, inlined: no function call per endpoint.
     for u, sign_u, v, sign_v in g.edge_ends():
         if sign_u in allowed[u] and sign_v in allowed[v]:
             while parent[u] != u:
@@ -264,7 +278,10 @@ def restricted_roots(
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
             if u != v:
+                if size[u] > size[v]:
+                    u, v = v, u
                 parent[u] = v
+                size[v] += size[u]
     roots = []
     for v in vs:
         while parent[v] != v:
@@ -283,13 +300,27 @@ def dual_value(
 
     Requires X∩S = X∩T; singleton components of S∩T vertices contribute 0.
     """
+    return _dual_roots(g, x, s, t)[0]
+
+
+def _dual_roots(
+    g: BidirectedMultigraph,
+    x: Iterable[VertexId],
+    s: Iterable[VertexId],
+    t: Iterable[VertexId],
+) -> tuple[int, list[VertexId], list[VertexId]]:
+    """The dual value of (S, T), checked as `dual_value` checks it, with the
+    marked vertices X∪S∪T in ascending id order and, in that order, the
+    root of each in the restricted graph's union-find forest."""
     xs = g.check_vertex_set(x)
     ss = g.check_vertex_set(s)
     ts = g.check_vertex_set(t)
     if xs & ss != xs & ts:
         raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    marked = Counter(restricted_roots(g, ss, ts, xs | ss | ts))
-    return len(ss & ts) + sum(c // 2 for c in marked.values())
+    marked = sorted(xs | ss | ts)
+    roots = restricted_roots(g, ss, ts, marked)
+    value = len(ss & ts) + sum(c // 2 for c in Counter(roots).values())
+    return value, marked, roots
 
 
 def delete_vertices(

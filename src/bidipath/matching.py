@@ -1,7 +1,8 @@
 """Maximum matching in general multigraphs, with its Gallai-Edmonds A-set.
 
-A multigraph is two flat int lists `us` and `vs` over range(vertex_count):
-edge i joins us[i] and vs[i]. The matcher is Edmonds' blossom-shrinking
+A multigraph is given by its adjacency over range(vertex_count): `nbrs[v]`
+lists v's neighbours, one entry per edge at v, so an edge joining u and v
+is listed once at each end. The matcher is Edmonds' blossom-shrinking
 search, run as one alternating forest grown from every exposed vertex at
 once. The matching is kept by vertex only, as each vertex's mate; parallel
 edges stay in the adjacency lists, and a matching never uses two of them.
@@ -15,7 +16,6 @@ matching is then valid, but its forest is not read.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
 from .errors import InternalDualityMismatch
 
@@ -23,30 +23,18 @@ from .errors import InternalDualityMismatch
 class _Matcher:
     """One alternating forest over a multigraph, grown by `run`.
 
-    The multigraph is given as two flat lists: edge i joins `us[i]` and
-    `vs[i]`. The seed edges, which must form a matching, are matched at
-    once; the lists themselves are not kept. Every table is int-indexed:
-    `nbrs[v]` lists v's neighbours in ascending edge-id order, one entry per
-    edge, and `match[v]` is v's mate (-1 if exposed). The forest labels
-    (even, parent, base) are allocated once. Scanning is in a fixed order,
-    so the matching, the paths flipped and the final forest are
-    reproducible.
+    The caller builds both tables and hands them over: the adjacency `nbrs`,
+    and `match`, each vertex's mate (-1 if exposed), which must be a
+    matching of the multigraph and is the seed that `run` grows. The forest
+    labels (even, parent, base) are allocated once. Scanning follows the
+    order of `nbrs` and of the vertex ids, so the matching, the paths
+    flipped and the final forest are reproducible.
     """
 
-    def __init__(
-        self, vertex_count: int, us: list[int], vs: list[int], seed: Iterable[int] = ()
-    ):
+    def __init__(self, vertex_count: int, nbrs: list[list[int]], match: list[int]):
         n = self.n = vertex_count
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in zip(us, vs):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
         self.nbrs = nbrs
-        match = self.match = [-1] * n
-        for eid in seed:
-            u, v = us[eid], vs[eid]
-            match[u] = v
-            match[v] = u
+        self.match = match
         self.even = [False] * n
         self.parent = [-1] * n
         self.base = list(range(n))
@@ -247,21 +235,3 @@ class _Matcher:
                     raise broken(f"D-D edge {v}-{to} joins two blossoms")
         return a
 
-
-def grow_matching(
-    vertex_count: int,
-    us: list[int],
-    vs: list[int],
-    seed: Iterable[int] = (),
-    limit: int | None = None,
-) -> _Matcher:
-    """A matcher holding a maximum matching of the multigraph (us, vs) on
-    range(vertex_count), grown from the seed edges, which must form a
-    matching (they are not checked).
-
-    With a `limit`, growth stops after that many augmentations; the
-    matching is maximum, and the forest Hungarian, when it made fewer.
-    """
-    matcher = _Matcher(vertex_count, us, vs, seed)
-    matcher.run(limit)
-    return matcher

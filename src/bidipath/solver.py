@@ -5,32 +5,34 @@ matching from the base matching of its split edges, read the packing size off
 the matching surplus and the paths off walks of the matching from the
 X-vertices (checked once on g as pairwise disjoint X-paths), and translate
 the A-set of the same matching's Gallai-Edmonds partition into a vertex-set
-pair (S, T) whose dual value, checked by `dual_value`, equals the packing
-size. Leave-one-out over the restricted graph's components turns (S, T) into
-a hitting set Y of at most 2k - |S∩T| vertices, audited on g by `dual_value`
-before it is returned. `certificate(g, X)` is the one view that returns a
-single part of the answer. The threshold query `paths_or_hitting_set(g, X, k)`
+pair (S, T) whose dual value, checked on g, equals the packing size.
+Leave-one-out over the restricted graph's components, as the certificate
+check found them, turns (S, T) into a hitting set Y of at most 2k - |S∩T|
+vertices, audited on g by a dual value pass of its own before it is
+returned. `certificate(g, X)` is the one view that returns a single part of
+the answer. The threshold query `paths_or_hitting_set(g, X, k)`
 first scans the host edges for k disjoint ones joining two X-vertices, each
 an X-path, and returns them checked without building the auxiliary graph.
 When the scan falls short it shares the pipeline up to the walk, but stops
 the matching after k augmentations: it returns k checked paths, which at
 k = ν are `solve`'s, or for k > ν the hitting set.
 
-The auxiliary graph has the ids 0 .. 2n-1 and two flat edge lists: edge i
-joins us[i] and vs[i]. Host vertex v owns 2v and 2v+1, so auxiliary vertex a
-belongs to host vertex a >> 1. Outside X they are its - and + copies: its
-ends with sign - land on 2v, those with sign + on 2v+1, and its split edge
-joins the two. Every end of an X-vertex lands on 2v, and 2v+1 stays
-isolated. The split edges come first, in host-vertex order, and form the base
-matching; host edge e is edge split_count + e. The matcher keeps mates only:
-the packing names the matching edge between two copies by the lowest host
-edge id joining them, as no walk takes a split edge by the matching.
+The auxiliary graph has the ids 0 .. 2n-1 and is built once, straight from
+g's edge lists, as the matcher's adjacency. Host vertex v owns 2v and 2v+1,
+so auxiliary vertex a belongs to host vertex a >> 1. Outside X they are its
+- and + copies: its ends with sign - land on 2v, those with sign + on 2v+1,
+and its split edge joins the two. Every end of an X-vertex lands on 2v, and
+2v+1 stays isolated. The split edges form the base matching, the seed of
+the matcher. Each copy lists its split-edge neighbour first, then the
+neighbours across the host edges at it in edge-id order. The matcher keeps
+mates only: the packing names the matching edge between two copies by the
+lowest host edge id joining them, as no walk takes a split edge by the
+matching.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -39,9 +41,8 @@ from .core import (
     BidirectedMultigraph,
     SignedPath,
     VertexId,
-    dual_value,
+    _dual_roots,
     is_x_path,
-    restricted_roots,
 )
 from .errors import (
     InternalDualityMismatch,
@@ -49,7 +50,7 @@ from .errors import (
     SideConditionViolated,
     UnknownVertex,
 )
-from .matching import _Matcher, grow_matching
+from .matching import _Matcher
 
 
 @dataclass(frozen=True)
@@ -85,32 +86,31 @@ class HittingSet:
     t: frozenset[VertexId]
 
 
-def _auxiliary(
+def _copies(
     g: BidirectedMultigraph, xs: frozenset[VertexId]
-) -> tuple[int, list[int], list[int]]:
-    """The auxiliary graph of (g, X) as (split_count, us, vs), laid out as
-    the module docstring says."""
-    n = g.vertex_count
-    # An end with sign - at v lands on at_minus[v], one with sign + on
-    # at_plus[v]. Reading the ids from lists shares one int object per id.
-    at_minus = list(range(0, 2 * n, 2))
-    at_plus = list(range(1, 2 * n, 2))
+) -> tuple[list[int], list[int]]:
+    """(at_minus, at_plus): an end with sign - at v lands on the auxiliary
+    vertex at_minus[v], one with sign + on at_plus[v], as the module
+    docstring lays them out. Reading the ids from these lists shares one int
+    object per id."""
+    n2 = 2 * g.vertex_count
+    at_minus = list(range(0, n2, 2))
+    at_plus = list(range(1, n2, 2))
     for v in xs:
         at_plus[v] = at_minus[v]
-    split = [v for v in g.vertices() if v not in xs]
-    us = [at_minus[v] for v in split]
-    vs = [at_plus[v] for v in split]
-    ends = g.edge_ends
-    us += [(at_minus if sign is MINUS else at_plus)[u] for u, sign, _, _ in ends()]
-    vs += [(at_minus if sign is MINUS else at_plus)[v] for _, _, v, sign in ends()]
-    return len(split), us, vs
+    return at_minus, at_plus
 
 
 def _packing(
-    xs: frozenset[VertexId], split_count: int, us: list[int], vs: list[int], match: list[int]
+    g: BidirectedMultigraph,
+    xs: frozenset[VertexId],
+    at_minus: list[int],
+    at_plus: list[int],
+    match: list[int],
 ) -> PackingResult:
-    """The host paths of the matching `match` (each copy's mate, or -1) read
-    as alternating X-paths against the base matching; there are exactly as
+    """The host paths of the matching `match` (each copy's mate, or -1) of
+    the auxiliary graph of (g, X), whose copies `_copies` gave, read as
+    alternating X-paths against the base matching; there are exactly as
     many as the matching's surplus.
 
     The walk from each X-vertex x starts at 2x and takes the matching edge,
@@ -123,12 +123,15 @@ def _packing(
     has vertices has repeated one, and raises InternalDualityMismatch.
     """
     pair_edge = [-1] * len(match)
-    host = zip(itertools.islice(us, split_count, None), itertools.islice(vs, split_count, None))
-    for e, (u, v) in enumerate(host):
-        if match[u] == v and pair_edge[u] == -1:
-            pair_edge[u] = pair_edge[v] = e
-    steps = len(match) // 2
-    k = (len(match) - match.count(-1)) // 2 - split_count
+    for e, (u, sign_u, v, sign_v) in enumerate(g.edge_ends()):
+        a = (at_minus if sign_u is MINUS else at_plus)[u]
+        b = (at_minus if sign_v is MINUS else at_plus)[v]
+        if match[a] == b and pair_edge[a] == -1:
+            pair_edge[a] = pair_edge[b] = e
+    steps = len(match) // 2  # the host's vertex count
+    # The matched pairs beyond the base matching's split edges, one per
+    # host vertex outside X.
+    k = (len(match) - match.count(-1)) // 2 - (steps - len(xs))
     paths: list[SignedPath] = []
     for x in sorted(xs):
         v = 2 * x
@@ -172,19 +175,14 @@ def _check_packing(
         seen.update(p.vertices)
 
 
-def _leave_one_out(
-    g: BidirectedMultigraph,
-    s: frozenset[VertexId],
-    t: frozenset[VertexId],
-    marked: Iterable[VertexId],
-) -> list[VertexId]:
-    """The marked vertices, in ascending id order, whose component of the
-    restricted graph B_{S,T} an earlier marked vertex already claimed: all
-    but the minimum-id marked member of each component."""
-    order = sorted(marked)
+def _leave_one_out(marked: list[VertexId], roots: list[VertexId]) -> list[VertexId]:
+    """The marked vertices, given in ascending id order with their roots in
+    the restricted graph B_{S,T}, whose component an earlier marked vertex
+    already claimed: all but the minimum-id marked member of each
+    component."""
     claimed: set[VertexId] = set()
     out = []
-    for v, root in zip(order, restricted_roots(g, s, t, order)):
+    for v, root in zip(marked, roots):
         if root in claimed:
             out.append(v)
         else:
@@ -217,22 +215,25 @@ class Solution:
 
     def _check_dual(
         self, check: str, s: frozenset[VertexId], t: frozenset[VertexId], name: str, expected: int
-    ) -> None:
-        """Raise InternalDualityMismatch, naming the check, unless (S, T) is
+    ) -> tuple[list[VertexId], list[VertexId]]:
+        """The marked vertices X∪S∪T in ascending id order and their roots in
+        the restricted graph B_{S,T}, from one `_dual_roots` pass; raise
+        InternalDualityMismatch, naming the check, unless (S, T) is
         admissible on g with dual value `expected`, called `name`."""
         try:
-            value = dual_value(self.g, self.x, s, t)
+            value, marked, roots = _dual_roots(self.g, self.x, s, t)
         except (UnknownVertex, SideConditionViolated) as exc:
             raise InternalDualityMismatch(f"{check} failed: {exc}") from None
         if value != expected:
             raise InternalDualityMismatch(
                 f"{check} failed: dual value {value} differs from {name} = {expected}"
             )
+        return marked, roots
 
     @functools.cached_property
-    def certificate(self) -> Certificate:
-        """A dual pair (S, T) attaining the packing size, checked once by
-        `dual_value`.
+    def _checked_dual(self) -> tuple[Certificate, list[VertexId], list[VertexId]]:
+        """The certificate, with the marked vertices and their roots that its
+        check found.
 
         The A-set U of the auxiliary graph's Gallai-Edmonds partition is
         translated by copy: T collects the owners a >> 1 of the - copies 2v
@@ -252,22 +253,29 @@ class Solution:
             else:
                 t.add(v)
         cert = Certificate(frozenset(s), frozenset(t))
-        self._check_dual("certificate check", cert.s, cert.t, "k", self.packing.k)
-        return cert
+        marked, roots = self._check_dual("certificate check", cert.s, cert.t, "k", self.packing.k)
+        return cert, marked, roots
+
+    @functools.cached_property
+    def certificate(self) -> Certificate:
+        """A dual pair (S, T) attaining the packing size, checked once by its
+        dual value on g."""
+        return self._checked_dual[0]
 
     @functools.cached_property
     def hitting_set(self) -> HittingSet:
         """A vertex set Y with |Y| <= 2k - |S∩T| meeting every X-path, for
         the packing size k.
 
-        Y combines S∩T with the marked vertices `_leave_one_out` selects,
-        audited on g before it is returned. A component with m marked
-        vertices adds m - 1 <= 2⌊m/2⌋, and the dual value k is |S∩T| plus
-        the sum of the ⌊m/2⌋.
+        Y combines S∩T with the marked vertices `_leave_one_out` selects
+        from the components the certificate check found, and is audited on
+        g, in a pass of its own, before it is returned. A component with m
+        marked vertices adds m - 1 <= 2⌊m/2⌋, and the dual value k is |S∩T|
+        plus the sum of the ⌊m/2⌋.
         """
-        cert = self.certificate
+        cert, marked, roots = self._checked_dual
         y = set(cert.s & cert.t)
-        y.update(_leave_one_out(self.g, cert.s, cert.t, self.x | cert.s | cert.t))
+        y.update(_leave_one_out(marked, roots))
         bound = 2 * self.packing.k - len(cert.s & cert.t)
         if len(y) > bound:
             raise InternalDualityMismatch(
@@ -283,10 +291,29 @@ def _grow(
 ) -> tuple[PackingResult, _Matcher]:
     """The matching of the auxiliary graph of (g, X), X checked, grown from
     its base matching for at most `limit` augmentations, and the paths
-    walked off it."""
-    split_count, us, vs = _auxiliary(g, xs)
-    matcher = grow_matching(2 * g.vertex_count, us, vs, range(split_count), limit)
-    return _packing(xs, split_count, us, vs, matcher.match), matcher
+    walked off it.
+
+    The adjacency and the seed are built in one pass over the vertices and
+    one over g's edges, in the order the module docstring gives.
+    """
+    at_minus, at_plus = _copies(g, xs)
+    n2 = 2 * g.vertex_count
+    nbrs: list[list[int]] = [[] for _ in range(n2)]
+    match = [-1] * n2
+    for a, b in zip(at_minus, at_plus):
+        if a != b:  # the split edge of a vertex outside X, matched
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+            match[a] = b
+            match[b] = a
+    for u, sign_u, v, sign_v in g.edge_ends():
+        a = (at_minus if sign_u is MINUS else at_plus)[u]
+        b = (at_minus if sign_v is MINUS else at_plus)[v]
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    matcher = _Matcher(n2, nbrs, match)
+    matcher.run(limit)
+    return _packing(g, xs, at_minus, at_plus, matcher.match), matcher
 
 
 def solve(g: BidirectedMultigraph, x: Iterable[VertexId]) -> Solution:
@@ -328,7 +355,8 @@ def paths_or_hitting_set(
 
     An edge joining two X-vertices is an X-path, and needs no auxiliary
     graph: if the scan of `_x_edge_paths` keeps k such edges, they are
-    checked on g and returned. The scan is greedy, so it may fall short
+    checked on g and returned. Each X-path takes two X-vertices, so the
+    scan is skipped when k > ⌊|X|/2⌋; it is greedy, so it may fall short
     though g holds k disjoint ones. Then each
     augmentation of the matching adds one path, so the matching is grown for
     k augmentations only. If it gets there, its k paths are walked, checked
@@ -339,7 +367,7 @@ def paths_or_hitting_set(
     if k < 1:
         raise InvalidParameter("the hitting-set bound 2k-2 requires k >= 1")
     xs = g.check_vertex_set(x)
-    paths = _x_edge_paths(g, xs, k)
+    paths = _x_edge_paths(g, xs, k) if k <= len(xs) // 2 else []
     if len(paths) < k:
         packing, matcher = _grow(g, xs, k)
         if packing.k < k:

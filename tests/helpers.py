@@ -12,8 +12,7 @@ from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, is_x_path
 from bidipath.bgf import Instance
 from bidipath.errors import SideConditionViolated
 from bidipath.generate import generate_instance
-from bidipath.matching import _Matcher, grow_matching
-from bidipath.solver import _auxiliary
+from bidipath.matching import _Matcher
 
 SIGNS = (MINUS, PLUS)
 
@@ -23,6 +22,14 @@ MIXED_SIGN_DISTS = (
     {"--": 1.0, "-+": 4.0, "+-": 1.0, "++": 1.0},
     {"--": 0.0, "-+": 1.0, "+-": 1.0, "++": 2.0},
 )
+
+# The sign distributions of the four benchmark families, with their |X|/n.
+SIGN_FAMILIES = [
+    (None, 0.2),
+    ({"--": 0, "-+": 1, "+-": 0, "++": 0}, 0.1),
+    ({"--": 1, "-+": 0, "+-": 0, "++": 1}, 0.2),
+    ({"--": 3, "-+": 1, "+-": 1, "++": 1}, 0.2),
+]
 
 
 def complete_all_minus(n: int) -> BidirectedMultigraph:
@@ -48,13 +55,46 @@ class Multigraph:
 
 
 def flat(h: Multigraph) -> tuple[int, list[int], list[int]]:
-    """h as the matcher takes it: vertex count and the two end lists."""
+    """h as edge lists: vertex count and the two end lists."""
     return h.vertex_count, [u for u, _ in h.endpoints], [v for _, v in h.endpoints]
 
 
+def edge_matcher(
+    vertex_count: int, us: list[int], vs: list[int], seed: Iterable[int] = ()
+) -> _Matcher:
+    """A matcher over the multigraph whose edge i joins us[i] and vs[i]:
+    each vertex lists its neighbours in ascending edge-id order, and the
+    seed edges, which must form a matching, are matched."""
+    nbrs: list[list[int]] = [[] for _ in range(vertex_count)]
+    for u, v in zip(us, vs):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    match = [-1] * vertex_count
+    for eid in seed:
+        match[us[eid]] = vs[eid]
+        match[vs[eid]] = us[eid]
+    return _Matcher(vertex_count, nbrs, match)
+
+
+def grow_matching(
+    vertex_count: int,
+    us: list[int],
+    vs: list[int],
+    seed: Iterable[int] = (),
+    limit: int | None = None,
+) -> _Matcher:
+    """`edge_matcher`'s matcher, run for at most `limit` augmentations: a
+    maximum matching, with its forest Hungarian, when it made fewer."""
+    matcher = edge_matcher(vertex_count, us, vs, seed)
+    matcher.run(limit)
+    return matcher
+
+
 class Auxiliary(NamedTuple):
-    """The auxiliary graph that `solve` builds for (g, X), with its vertex
-    count 2|V(g)|; the layout is in the `solver` module docstring."""
+    """The auxiliary graph of (g, X) as edge lists, with its vertex count
+    2|V(g)|: the split edges first, in host-vertex order, then host edge e
+    as edge split_count + e, laid out as the `solver` module docstring
+    says. A reference for the adjacency `solve` builds straight from g."""
 
     vertex_count: int
     split_count: int
@@ -63,7 +103,22 @@ class Auxiliary(NamedTuple):
 
 
 def auxiliary(g: BidirectedMultigraph, x) -> Auxiliary:
-    return Auxiliary(2 * g.vertex_count, *_auxiliary(g, frozenset(x)))
+    xs = frozenset(x)
+
+    def lands(v: int, sign) -> int:
+        return 2 * v if v in xs or sign is MINUS else 2 * v + 1
+
+    split = [v for v in g.vertices() if v not in xs]
+    us = [2 * v for v in split] + [lands(u, sign) for u, sign, _, _ in g.edge_ends()]
+    vs = [2 * v + 1 for v in split] + [lands(v, sign) for _, _, v, sign in g.edge_ends()]
+    return Auxiliary(2 * g.vertex_count, len(split), us, vs)
+
+
+def auxiliary_matcher(g: BidirectedMultigraph, x) -> _Matcher:
+    """The matcher `solve` grows for (g, X), before it runs, built from the
+    reference edge lists."""
+    aux = auxiliary(g, x)
+    return edge_matcher(aux.vertex_count, aux.us, aux.vs, range(aux.split_count))
 
 
 def auxiliary_multigraph(aux: Auxiliary) -> Multigraph:

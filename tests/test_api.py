@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import bidipath
-from bidipath.solver import _auxiliary
+from bidipath.solver import _copies
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -41,11 +41,11 @@ DELETED = {
     "core": ["RestrictedGraph", "restrict", "Edge", "Multigraph"],
     "matching": [
         "TutteBergeWitness", "tutte_berge_witness", "tutte_berge_value", "components_without",
-        "is_matching", "maximum_matching", "gallai_edmonds", "GallaiEdmonds",
+        "is_matching", "maximum_matching", "gallai_edmonds", "GallaiEdmonds", "grow_matching",
     ],
     "solver": [
         "max_disjoint_x_paths", "hitting_set", "check_threshold", "verify_certificate",
-        "VerificationResult", "AuxiliaryGraph",
+        "VerificationResult", "AuxiliaryGraph", "_auxiliary",
     ],
     "errors": ["NotAnXPath", "NotAlternating", "EndpointsNotInX", "InvalidSeed", "InvalidK"],
 }
@@ -83,9 +83,13 @@ def test_the_auxiliary_module_is_gone():
         importlib.import_module("bidipath.auxiliary")
 
 
-def test_the_auxiliary_graph_holds_only_its_counts_and_two_edge_lists():
+def test_the_auxiliary_graph_is_only_the_matchers_adjacency():
+    # No edge lists: the ends land through the copy tables straight into
+    # the adjacency, split edge first.
     g = bidipath.from_digraph(3, [(0, 1), (1, 2)])
-    assert _auxiliary(g, frozenset({0, 2})) == (1, [2, 0, 2], [3, 3, 4])
+    assert _copies(g, frozenset({0, 2})) == ([0, 2, 4], [0, 3, 4])
+    matcher = bidipath.solve(g, {0, 2})._matcher
+    assert matcher.nbrs == [[3], [], [3, 4], [2, 0], [2], []]
 
 
 def test_the_matcher_and_a_solution_keep_no_edge_list():

@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given
 
-from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, solve
+from bidipath import MINUS, PLUS, BidirectedMultigraph, SignedPath, generate_instance, solve
 from bidipath.errors import UnknownVertex
+from bidipath.matching import _Matcher
 from bidipath.oracle import enumerate_x_paths
 from helpers import (
+    SIGN_FAMILIES,
     auxiliary,
+    auxiliary_matcher,
     auxiliary_multigraph,
     complete_all_minus,
     copy_of,
@@ -199,3 +202,27 @@ def test_the_id_2v_plus_1_of_an_x_vertex_is_isolated_and_in_d(gx):
     for v in x:
         assert 2 * v + 1 not in touched
         assert 2 * v + 1 in d
+
+
+@pytest.mark.parametrize("n", [12, 60, 300])
+@pytest.mark.parametrize("family", range(len(SIGN_FAMILIES)))
+def test_solve_builds_the_adjacency_and_seed_of_the_reference_edge_lists(family, n, monkeypatch):
+    # The adjacency is built straight from g's lists; it must list, vertex
+    # by vertex and in order, what the edge lists split edges first, then
+    # host edges in id order, give, and seed the same base matching.
+    sign_dist, x_frac = SIGN_FAMILIES[family]
+    g = generate_instance(n, 3 * n, x_frac, sign_dist, 10 * n + family).graph
+    run = _Matcher.run
+    seeds = []
+
+    def recording(self, limit=None):
+        seeds.append(list(self.match))
+        run(self, limit)
+
+    monkeypatch.setattr(_Matcher, "run", recording)
+    for x in (frozenset(), frozenset(g.vertices())):
+        built = solve(g, x)._matcher
+        reference = auxiliary_matcher(g, x)
+        assert built.n == reference.n == 2 * n
+        assert built.nbrs == reference.nbrs
+        assert seeds.pop() == reference.match

@@ -7,7 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidipath.bgf
-from bidipath import MINUS, PLUS, format_instance, from_digraph, generate_instance, parse_instance
+from bidipath import (
+    MINUS,
+    PLUS,
+    BidirectedMultigraph,
+    format_instance,
+    from_digraph,
+    generate_instance,
+    parse_instance,
+)
 from bidipath.bgf import Instance, _parse_lines
 from bidipath.errors import (
     DuplicateVertex,
@@ -247,6 +255,25 @@ def test_the_bulk_reader_agrees_with_the_line_loop(text, kind, at):
 )
 def test_the_bulk_reader_agrees_with_the_line_loop_on_edge_cases(text):
     assert outcome(parse_instance, text) == outcome(_parse_lines, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["v a\nv b\ne a - b +\ne b + a +\nx a\n", "# comment\nv a\nv b\ne a - b +\ne b + a +\nx a\n"],
+    ids=["bulk-read", "line-loop"],
+)
+def test_both_reads_append_their_edges_without_add_edges_checks(text, monkeypatch):
+    # Every id comes out of the read's own name table and every sign out of
+    # its sign table, and each read refuses loops itself: neither pays the
+    # public writer's checks again.
+    def refused(*args):
+        raise AssertionError("add_edges called")
+
+    monkeypatch.setattr(BidirectedMultigraph, "add_edges", refused)
+    instance = parse_instance(text)
+    assert list(instance.graph.edge_ends()) == [(0, MINUS, 1, PLUS), (1, PLUS, 0, PLUS)]
+    with pytest.raises(LoopRejected, match="loop at vertex 'b'"):
+        parse_instance(text.replace("e a - b +", "e b - b +"))
 
 
 # The sign families of the benchmark's workloads.

@@ -482,6 +482,32 @@ def test_non_utf8_bytes_on_real_stdin_are_a_parse_error():
     assert run.stdout == b""
 
 
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="RLIMIT_AS caps the address space on Linux only"
+)
+def test_running_out_of_memory_exits_1_in_one_line():
+    # The child alone gets a 1 GiB address space; a billion-vertex instance
+    # does not fit in it. Too large an input is a usage error, not a bug.
+    resource = pytest.importorskip("resource")
+    limit = 1 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < limit:
+        pytest.skip("the address space is capped below the test's limit")
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(bidipath.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-m", "bidipath.cli", "generate", "-n", "1000000000", "-m", "0"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=60, preexec_fn=cap,
+    )
+    assert run.returncode == 1
+    assert run.stderr == b"bidipath: out of memory\n"
+    assert b"internal" not in run.stderr
+    assert run.stdout == b""
+
+
 def test_parse_and_solve_never_add_edges_one_at_a_time(tmp_path, capsys, monkeypatch):
     # The graph's edges arrive in bulk: a per-edge add_edge call on the
     # parse, solve or hitting-set path would fail here.
@@ -544,7 +570,7 @@ def test_putting_back_a_vertex_of_y_that_reopens_an_x_path_fails_the_audit():
 
 def test_a_hitting_set_that_misses_a_path_exits_3(k5_file, capsys, monkeypatch):
     # One marked vertex per component keeps only S∩T in Y, which misses paths.
-    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda g, s, t, marked: [])
+    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda marked, roots: [])
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""  # a failed answer is never printed
@@ -557,7 +583,7 @@ def test_a_selection_keeping_every_marked_vertex_fails_the_bound_by_name(
 ):
     # Selecting every marked vertex puts all five of K5's in Y, one more
     # than 2k - |S∩T| = 4.
-    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda g, s, t, marked: sorted(marked))
+    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda marked, roots: list(marked))
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -588,14 +614,13 @@ def test_a_packing_walk_caught_in_a_cycle_exits_3_by_name(tmp_path, capsys, monk
     # leads back to 2u and on to 2u+1 again, makes the walk from a cycle.
     path = tmp_path / "cycle.bgf"
     path.write_text("v a\nv u\nv b\ne a - b +\nx a b\n")
-    grown = bidipath.solver.grow_matching
+    run = _Matcher.run
 
-    def cycling(*args):
-        matcher = grown(*args)
-        matcher.match[0] = 3
-        return matcher
+    def cycling(self, limit=None):
+        run(self, limit)
+        self.match[0] = 3
 
-    monkeypatch.setattr("bidipath.solver.grow_matching", cycling)
+    monkeypatch.setattr(_Matcher, "run", cycling)
     assert main(["solve", str(path), "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -610,14 +635,13 @@ def test_a_matching_surplus_unlike_the_paths_walked_exits_3_by_name(
     # no walk, lowers the surplus to 0 while the walk still finds a-b.
     path = tmp_path / "surplus.bgf"
     path.write_text("v a\nv b\nv w\ne a - b +\nx a b\n")
-    grown = bidipath.solver.grow_matching
+    run = _Matcher.run
 
-    def unmatching(*args):
-        matcher = grown(*args)
-        matcher.match[4] = matcher.match[5] = -1
-        return matcher
+    def unmatching(self, limit=None):
+        run(self, limit)
+        self.match[4] = self.match[5] = -1
 
-    monkeypatch.setattr("bidipath.solver.grow_matching", unmatching)
+    monkeypatch.setattr(_Matcher, "run", unmatching)
     assert main(["solve", str(path), "--format", "machine"]) == 3
     assert capsys.readouterr() == (
         "",
@@ -666,13 +690,13 @@ def test_a_forest_fault_on_the_threshold_path_exits_3_by_name(tmp_path, capsys, 
 
 def test_a_lopsided_certificate_fails_the_hitting_set_audit_by_name(k5_file, capsys, monkeypatch):
     # An X-vertex in S only breaks X∩S = X∩T; the audit names that, exit 3.
-    found = Solution.certificate.func
+    found = Solution._checked_dual.func
 
     def lopsided(self):
-        cert = found(self)
-        return Certificate(cert.s | {min(self.x - cert.s)}, cert.t)
+        cert, marked, roots = found(self)
+        return Certificate(cert.s | {min(self.x - cert.s)}, cert.t), marked, roots
 
-    monkeypatch.setattr(Solution, "certificate", property(lopsided))
+    monkeypatch.setattr(Solution, "_checked_dual", property(lopsided))
     assert main(["hitting-set", k5_file, "-k", "3", "--format", "machine"]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -793,7 +817,7 @@ def test_unexpected_error_is_exit_3_without_traceback(k5_file, capsys, monkeypat
 
 
 def test_a_certificate_that_fails_its_check_exits_3_with_the_reason(k5_file, capsys, monkeypatch):
-    monkeypatch.setattr("bidipath.solver.dual_value", lambda *args: 99)
+    monkeypatch.setattr("bidipath.solver._dual_roots", lambda *args: (99, [], []))
     assert main(["solve", k5_file, "--format", "machine"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,16 +5,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bidipath.errors import InternalDualityMismatch
-from bidipath.matching import _Matcher, grow_matching
+from bidipath.matching import _Matcher
 from bidipath.oracle import brute_matching
 from helpers import (
     Multigraph,
     auxiliary,
     auxiliary_multigraph,
+    edge_matcher,
     flat,
     gallai_edmonds,
     graph_and_x,
     grow,
+    grow_matching,
     is_matching,
     maximum_matching,
     partition,
@@ -226,7 +228,7 @@ def test_gallai_edmonds_of_auxiliary_graph_from_base_matching(gx):
 
 def test_probing_a_non_maximum_matching_names_the_stage():
     # The middle edge alone leaves 0-1=2-3 augmenting.
-    matcher = _Matcher(*flat(path_graph(4)), seed={1})
+    matcher = edge_matcher(*flat(path_graph(4)), seed={1})
     with pytest.raises(InternalDualityMismatch, match="gallai-edmonds"):
         matcher.gallai_edmonds()
 
@@ -253,7 +255,7 @@ def test_a_corrupted_forest_names_the_broken_condition(h, labels, v, value, cond
 def cyclic_forest() -> _Matcher:
     """Vertices 0 and 1 matched, and each the parent of the other: every walk
     up the tree from either goes round the pair forever."""
-    matcher = _Matcher(4, [0], [1], seed=[0])
+    matcher = edge_matcher(4, [0], [1], seed=[0])
     matcher.parent[0], matcher.parent[1] = 1, 0
     return matcher
 
@@ -279,7 +281,7 @@ def test_a_walk_caught_in_a_cycle_names_itself(walk, name):
 def test_an_even_vertex_outside_every_tree_names_the_forest():
     # Vertex 1 is matched to 2 and labelled even by hand, so it roots no
     # tree: the augmentation from root 0 looks for a tree that is not there.
-    matcher = _Matcher(4, [0, 1, 2], [1, 2, 3], seed=[1])
+    matcher = edge_matcher(4, [0, 1, 2], [1, 2, 3], seed=[1])
     matcher.even[1] = True
     with pytest.raises(
         InternalDualityMismatch, match="^forest: an even vertex names root -1, which holds no tree$"

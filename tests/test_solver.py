@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bidipath
 from bidipath import (
     MINUS,
     PLUS,
@@ -30,16 +31,19 @@ from bidipath.errors import (
     SideConditionViolated,
     UnknownVertex,
 )
-from bidipath.matching import _Matcher, grow_matching
+from bidipath.matching import _Matcher
 from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
-from bidipath.solver import _auxiliary, _check_packing, _packing, paths_or_hitting_set
+from bidipath.solver import _check_packing, _copies, _packing, paths_or_hitting_set
 from helpers import (
+    SIGN_FAMILIES,
     auxiliary,
     auxiliary_multigraph,
     complete_all_minus,
     copy_of,
+    edge_matcher,
     gallai_edmonds,
     gamma_image,
+    grow_matching,
     lifted_edge,
     matched_edges,
     maximum_matching,
@@ -126,8 +130,9 @@ def test_packing_check_names_the_failed_check():
 def _walk(g, x, seed):
     """The packing read off a matcher holding the given auxiliary edges."""
     aux = auxiliary(g, x)
-    matcher = _Matcher(aux.vertex_count, aux.us, aux.vs, seed(aux))
-    return aux, matcher, _packing(frozenset(x), aux.split_count, aux.us, aux.vs, matcher.match)
+    matcher = edge_matcher(aux.vertex_count, aux.us, aux.vs, seed(aux))
+    xs = frozenset(x)
+    return aux, matcher, _packing(g, xs, *_copies(g, xs), matcher.match)
 
 
 def test_walk_takes_an_x_x_edge():
@@ -300,7 +305,7 @@ def test_hitting_set_k5_remark_instance():
 def test_hitting_set_is_audited_before_it_is_returned(monkeypatch):
     # One marked vertex per component keeps only S∩T in Y, which leaves
     # X-paths open: the audit on g must refuse that Y.
-    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda g, s, t, marked: [])
+    monkeypatch.setattr("bidipath.solver._leave_one_out", lambda marked, roots: [])
     g = complete_all_minus(5)
     with pytest.raises(InternalDualityMismatch, match="hitting-set audit failed"):
         solve(g, range(5)).hitting_set
@@ -315,15 +320,6 @@ def test_hitting_set_returns_packing_when_enough_paths(tmp_path, capsys, monkeyp
     out = capsys.readouterr().out.splitlines()
     assert out[:2] == ["outcome: packing", "k: 2"]
     assert len(out) == 4 and all(line.startswith("path: ") for line in out[2:])
-
-
-# The sign distributions of the four benchmark families, with their |X|/n.
-SIGN_FAMILIES = [
-    (None, 0.2),
-    ({"--": 0, "-+": 1, "+-": 0, "++": 0}, 0.1),
-    ({"--": 1, "-+": 0, "+-": 0, "++": 1}, 0.2),
-    ({"--": 3, "-+": 1, "+-": 1, "++": 1}, 0.2),
-]
 
 
 @settings(max_examples=150, deadline=None)
@@ -419,10 +415,10 @@ def test_a_threshold_query_returns_k_paths_exactly_when_nu_is_at_least_k(instanc
 def test_a_limited_matching_carries_the_limit_when_nu_reaches_it(instance):
     g, x = instance.graph, instance.x
     nu = solve(g, x).packing.k
-    split_count, us, vs = _auxiliary(g, x)
+    aux = auxiliary(g, x)
     for limit in range(1, nu + 2):
-        match = grow_matching(2 * g.vertex_count, us, vs, range(split_count), limit).match
-        surplus = (len(match) - match.count(-1)) // 2 - split_count
+        match = grow_matching(aux.vertex_count, aux.us, aux.vs, range(aux.split_count), limit).match
+        surplus = (len(match) - match.count(-1)) // 2 - aux.split_count
         assert surplus == min(limit, nu)
 
 
@@ -439,9 +435,10 @@ def kept_x_edges(g, x):
 
 def stopped_matching_paths(g, x, k):
     """The paths of the matching grown for k augmentations."""
-    split_count, us, vs = _auxiliary(g, frozenset(x))
-    match = grow_matching(2 * g.vertex_count, us, vs, range(split_count), k).match
-    return _packing(frozenset(x), split_count, us, vs, match).paths
+    xs = frozenset(x)
+    aux = auxiliary(g, xs)
+    match = grow_matching(aux.vertex_count, aux.us, aux.vs, range(aux.split_count), k).match
+    return _packing(g, xs, *_copies(g, xs), match).paths
 
 
 @pytest.mark.parametrize("instance", list(threshold_instances()))
@@ -462,7 +459,7 @@ def test_a_threshold_query_answers_from_the_first_k_disjoint_x_edges(instance):
 
 
 def test_parallel_x_edges_are_named_by_the_lower_id(monkeypatch):
-    monkeypatch.setattr("bidipath.solver._auxiliary", no_auxiliary)
+    monkeypatch.setattr("bidipath.solver._copies", no_auxiliary)
     g = BidirectedMultigraph()
     a, b = g.add_vertices(2)
     g.add_edge(b, PLUS, a, PLUS)
@@ -471,7 +468,7 @@ def test_parallel_x_edges_are_named_by_the_lower_id(monkeypatch):
 
 
 def test_an_x_edge_meeting_a_kept_one_is_skipped(monkeypatch):
-    monkeypatch.setattr("bidipath.solver._auxiliary", no_auxiliary)
+    monkeypatch.setattr("bidipath.solver._copies", no_auxiliary)
     g = BidirectedMultigraph()
     a, b, c, d = g.add_vertices(4)
     g.add_edge(c, MINUS, d, PLUS)
@@ -484,7 +481,7 @@ def test_an_x_edge_meeting_a_kept_one_is_skipped(monkeypatch):
 
 
 def test_an_x_edge_is_an_x_path_whatever_its_signs(monkeypatch):
-    monkeypatch.setattr("bidipath.solver._auxiliary", no_auxiliary)
+    monkeypatch.setattr("bidipath.solver._copies", no_auxiliary)
     g = BidirectedMultigraph()
     g.add_vertices(8)
     for i, (sign_u, sign_v) in enumerate([(MINUS, MINUS), (MINUS, PLUS), (PLUS, MINUS), (PLUS, PLUS)]):
@@ -507,6 +504,26 @@ def test_too_few_disjoint_x_edges_leave_the_answer_to_the_matching():
         SignedPath((c, d), (2,)),
     )
     assert paths_or_hitting_set(g, range(4), 3) == solve(g, range(4)).hitting_set
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, 5])
+def test_the_x_edge_scan_runs_only_while_k_fits_in_half_of_x(size, monkeypatch):
+    # Each X-path takes two X-vertices: past k = ⌊|X|/2⌋ the scan cannot
+    # reach k and is not run, and the answer is the matching's.
+    scan = bidipath.solver._x_edge_paths
+    calls = []
+
+    def spy(g, xs, k):
+        calls.append(k)
+        return scan(g, xs, k)
+
+    monkeypatch.setattr("bidipath.solver._x_edge_paths", spy)
+    g = complete_all_minus(size)
+    half = size // 2
+    assert len(paths_or_hitting_set(g, range(size), half)) == half
+    assert calls == [half]
+    assert paths_or_hitting_set(g, range(size), half + 1) == solve(g, range(size)).hitting_set
+    assert calls == [half]
 
 
 def test_a_threshold_query_needs_k_at_least_1():
