@@ -190,7 +190,7 @@ def _parse_lines(text: str) -> Instance:
             fail(index, f"expected '-' or '+', got {tokens[index]!r}")
         return _SIGNS[tokens[index]]
 
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         tokens = raw.split()
         if not tokens:
             continue

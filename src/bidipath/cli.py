@@ -149,7 +149,7 @@ def _parse_edge_list(text: str) -> tuple[list[str], list[tuple[int, int]]]:
     names: list[str] = []
     ids: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
+    for number, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         if raw.lstrip().startswith("#") or not raw.split():
             continue
         tokens = raw.split()

@@ -200,9 +200,6 @@ class SignedPath:
     def length(self) -> int:
         return len(self.edges)
 
-    def reversed(self) -> "SignedPath":
-        return SignedPath(self.vertices[::-1], self.edges[::-1])
-
 
 def is_valid_path(g: BidirectedMultigraph, p: SignedPath) -> bool:
     """True iff p is a path of g with signs alternating at internal vertices.

@@ -30,15 +30,7 @@ class InvalidParameter(BidipathError):
 
 
 class LimitExceeded(BidipathError):
-    """A brute-force routine hit its instance-size or output-count guard.
-
-    ``count`` reports how many results were produced before the guard fired,
-    when that information is meaningful.
-    """
-
-    def __init__(self, message: str, count: int | None = None):
-        super().__init__(message)
-        self.count = count
+    """A brute-force routine hit its instance-size or output-count guard."""
 
 
 class ParseError(BidipathError):

@@ -2,15 +2,15 @@
 
 Everything here is deliberately naive and independent of the solving
 pipeline: exhaustive path enumeration, set-packing by branch and bound,
-dual minimization over every admissible (S, T), and matching by subset
-search. Hard size guards raise LimitExceeded instead of running forever.
+and dual minimization over every admissible (S, T). Hard size guards
+raise LimitExceeded instead of running forever.
 The graph is read only through `edge_ends()`, `vertices()`, `vertex_count`
-and `check_vertex_set()`; the path searches index their own adjacency.
+and `check_vertex_set()`; the path search indexes its own adjacency.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import (
     MINUS,
@@ -19,11 +19,10 @@ from .core import (
     SignedPath,
     VertexId,
 )
-from .errors import LimitExceeded, SideConditionViolated
+from .errors import LimitExceeded
 
 MAX_PACKING_VERTICES = 10
 MAX_DUAL_STATES = 1 << 20
-MAX_MATCHING_EDGES = 20
 
 
 def _adjacency(
@@ -47,7 +46,7 @@ def enumerate_x_paths(
 
     Paths are found by depth-first extension through non-X vertices while
     respecting sign alternation; a path and its reversal count once. Raises
-    LimitExceeded, reporting the partial count, if more than `limit` exist.
+    LimitExceeded if more than `limit` exist.
     """
     xs = g.check_vertex_set(x)
     adj = _adjacency(g)
@@ -55,9 +54,7 @@ def enumerate_x_paths(
 
     def record(verts: list[VertexId], edges: list[int]) -> None:
         if limit is not None and len(found) >= limit:
-            raise LimitExceeded(
-                f"more than {limit} X-paths exist", count=len(found)
-            )
+            raise LimitExceeded(f"more than {limit} X-paths exist")
         found.append(SignedPath(tuple(verts), tuple(edges)))
 
     def extend(
@@ -219,113 +216,3 @@ def brute_dual_min(
         frozenset(v for v in range(n) if s_mask >> v & 1),
         frozenset(v for v in range(n) if t_mask >> v & 1),
     )
-
-
-def brute_dual_value(
-    g: BidirectedMultigraph,
-    x: Iterable[VertexId],
-    s: Iterable[VertexId],
-    t: Iterable[VertexId],
-) -> int:
-    """The dual bound for one admissible (S, T), via the bitmask evaluator."""
-    xs = g.check_vertex_set(x)
-    ss = g.check_vertex_set(s)
-    ts = g.check_vertex_set(t)
-    if xs & ss != xs & ts:
-        raise SideConditionViolated("X ∩ S must equal X ∩ T")
-    edges = [
-        (u, sign_u is MINUS, v, sign_v is MINUS)
-        for u, sign_u, v, sign_v in g.edge_ends()
-    ]
-    return _masked_dual(
-        g.vertex_count,
-        edges,
-        sum(1 << v for v in xs),
-        sum(1 << v for v in ss),
-        sum(1 << v for v in ts),
-    )
-
-
-def brute_matching(vertex_count: int, pairs: Sequence[tuple[int, int]]) -> int:
-    """Maximum matching size of the multigraph on range(vertex_count) with the
-    edges `pairs`, by include/exclude search over the edge list."""
-    if len(pairs) > MAX_MATCHING_EDGES:
-        raise LimitExceeded(
-            f"brute_matching is limited to {MAX_MATCHING_EDGES} edges"
-        )
-    m = len(pairs)
-    best = 0
-
-    def descend(i: int, used: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        free_bound = (vertex_count - bin(used).count("1")) // 2
-        if i == m or size + min(m - i, free_bound) <= best:
-            return
-        u, v = pairs[i]
-        if not used >> u & 1 and not used >> v & 1:
-            descend(i + 1, used | 1 << u | 1 << v, size + 1)
-        descend(i + 1, used, size)
-
-    descend(0, 0, 0)
-    return best
-
-
-def has_x_path(
-    g: BidirectedMultigraph,
-    x: Iterable[VertexId],
-    avoid: Iterable[VertexId] = (),
-) -> bool:
-    """True iff at least one X-path exists, avoiding the given vertices.
-
-    A sign-alternating depth-first search from X, with an explicit stack,
-    entirely independent of the matching pipeline. Branches from which no
-    unvisited X-vertex is even sign-blind reachable are pruned; that keeps
-    the search fast on dense negative instances. Exponential in the worst
-    case and unguarded: for small instances and tests.
-    """
-    xs = g.check_vertex_set(x)
-    banned = g.check_vertex_set(avoid)
-    if len(xs - banned) < 2:
-        return False  # both endpoints lie in X and are distinct
-    adj = _adjacency(g)
-
-    def x_reachable(frm: VertexId, on_path: set[VertexId]) -> bool:
-        seen = {frm}
-        stack = [frm]
-        while stack:
-            v = stack.pop()
-            for _, w, _, _ in adj[v]:
-                if w in banned or w in on_path or w in seen:
-                    continue
-                if w in xs:
-                    return True
-                seen.add(w)
-                stack.append(w)
-        return False
-
-    for start in sorted(xs - banned):
-        on_path = {start}
-        if not x_reachable(start, on_path):
-            continue
-        # Frames: (vertex, sign of the edge entering it, its remaining edges).
-        stack = [(start, None, iter(adj[start]))]
-        while stack:
-            v, incoming, edges = stack[-1]
-            for _, w, here, there in edges:
-                if here is incoming:
-                    continue
-                if w in banned or w in on_path:
-                    continue
-                if w in xs:
-                    return True
-                on_path.add(w)
-                if x_reachable(w, on_path):
-                    stack.append((w, there, iter(adj[w])))
-                    break
-                on_path.remove(w)
-            else:
-                stack.pop()
-                on_path.discard(v)
-    return False

@@ -23,6 +23,11 @@ MIXED_SIGN_DISTS = (
     {"--": 0.0, "-+": 1.0, "+-": 1.0, "++": 2.0},
 )
 
+# str.splitlines() also ends a line at each of these; BGF and the edge
+# lists of `convert` end one only at "\n", "\r\n" or "\r", as a file read
+# with universal newlines does.
+OTHER_LINE_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
 # The sign distributions of the four benchmark families, with their |X|/n.
 SIGN_FAMILIES = [
     (None, 0.2),

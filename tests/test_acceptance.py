@@ -24,13 +24,7 @@ from bidipath import (
 )
 from bidipath.core import delete_vertices
 from bidipath.errors import InternalDualityMismatch
-from bidipath.oracle import (
-    brute_dual_min,
-    brute_matching,
-    brute_max_disjoint,
-    enumerate_x_paths,
-    has_x_path,
-)
+from bidipath.oracle import brute_dual_min, brute_max_disjoint, enumerate_x_paths
 from helpers import (
     auxiliary,
     brute_directed_packing,
@@ -47,6 +41,7 @@ from helpers import (
     tutte_berge_value,
     verify_component_correspondence,
 )
+from oracles import brute_matching, has_x_path
 
 INSTANCE_COUNT = 500
 

@@ -48,12 +48,13 @@ DELETED = {
         "VerificationResult", "AuxiliaryGraph", "_auxiliary",
     ],
     "errors": ["NotAnXPath", "NotAlternating", "EndpointsNotInX", "InvalidSeed", "InvalidK"],
+    "oracle": ["has_x_path", "brute_matching", "MAX_MATCHING_EDGES", "brute_dual_value"],
 }
 DELETED_MEMBERS = {
     ("core", "BidirectedMultigraph"): [
         "incident_edges", "edge", "has_edge", "has_vertex", "add_vertex",
     ],
-    ("core", "SignedPath"): ["canonical", "endpoints"],
+    ("core", "SignedPath"): ["canonical", "endpoints", "reversed"],
     ("solver", "Certificate"): ["value"],
     ("matching", "_Matcher"): ["matched_edges", "mate_edge", "seed", "us", "vs"],
 }

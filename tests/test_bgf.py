@@ -24,6 +24,7 @@ from bidipath.errors import (
     ParseError,
     UnknownVertex,
 )
+from helpers import OTHER_LINE_BREAKS
 
 
 def test_parse_minimal_instance():
@@ -39,6 +40,21 @@ def test_parse_minimal_instance():
 def test_parse_skips_comments_and_blank_lines():
     inst = parse_instance("# heading\n\nv a\n   # indented comment\nv b\n")
     assert inst.graph.vertex_count == 2
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+def test_a_comment_holding_another_line_break_stays_one_comment(char):
+    text = "v a\nv b\ne a - b +\nx a b\n"
+    commented = text.replace("e a", f"# note{char} e two{char}z\ne a")
+    assert outcome(parse_instance, commented) == outcome(parse_instance, text)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=ascii)
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+def test_a_fault_after_such_a_comment_reports_its_newline_counted_line(char, newline):
+    text = newline.join(["v a", f"# note{char}# more", "v b", "v a", ""])
+    with pytest.raises(DuplicateVertex, match="^line 4: vertex 'a' declared twice$"):
+        parse_instance(text)
 
 
 def test_parse_rejects_loop():

@@ -1,16 +1,20 @@
 """End-to-end command tests through main(), checking output and exit codes."""
 
+import contextlib
 import gc
 import hashlib
+import io
 import os
 import random
 import shlex
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bidipath
@@ -20,9 +24,15 @@ from bidipath.errors import InvalidParameter
 from bidipath.cli import _verify_one, build_parser, main
 from bidipath.generate import generate_instance
 from bidipath.matching import _Matcher
-from bidipath.oracle import has_x_path
 from bidipath.solver import Certificate, HittingSet, PackingResult, Solution, solve
-from helpers import graph_and_x, random_admissible_pair, random_instance, sign_broken_chain
+from helpers import (
+    OTHER_LINE_BREAKS,
+    graph_and_x,
+    random_admissible_pair,
+    random_instance,
+    sign_broken_chain,
+)
+from oracles import has_x_path
 
 K5_BGF = (
     "\n".join(f"v {c}" for c in "abcde")
@@ -176,6 +186,17 @@ def test_convert_skips_comment_and_blank_lines(tmp_path, capsys):
     src.write_text("# arcs\n\na b\n  # indented\n   \nb c\n")
     assert main(["convert", "--mode", "digraph", str(src)]) == 0
     assert capsys.readouterr() == ("v a\nv b\nv c\ne a - b +\ne b - c +\n", "")
+
+
+@pytest.mark.parametrize("char", OTHER_LINE_BREAKS, ids=ascii)
+def test_convert_keeps_a_comment_holding_another_line_break_one_line(char, tmp_path, capsys):
+    src = tmp_path / "arcs"
+    src.write_bytes(f"a b\n# note{char} c{char}d e f\nb c\n".encode())
+    assert main(["convert", "--mode", "digraph", str(src)]) == 0
+    assert capsys.readouterr() == ("v a\nv b\nv c\ne a - b +\ne b - c +\n", "")
+    src.write_bytes(f"a b\n# note{char}# more\nb b\n".encode())
+    assert main(["convert", "--mode", "digraph", str(src)]) == 2
+    assert capsys.readouterr() == ("", "bidipath: line 3: loop at 'b'\n")
 
 
 def test_convert_rejects_a_line_that_is_not_a_pair(tmp_path, capsys):
@@ -454,8 +475,6 @@ def test_verify_rejects_a_negative_limit(k5_file, capsys):
 
 
 def test_non_utf8_instance_is_a_parse_error(tmp_path, capsys, monkeypatch):
-    import io
-
     path = tmp_path / "latin1.bgf"
     path.write_bytes(b"v a\nv b\xff\n")
     assert main(["solve", str(path)]) == 2
@@ -465,6 +484,68 @@ def test_non_utf8_instance_is_a_parse_error(tmp_path, capsys, monkeypatch):
     assert main(["solve", "-"]) == 2
     err = capsys.readouterr().err
     assert err == "bidipath: line 1, column 4: not UTF-8 text: byte 0xff\n"
+
+
+# Canonical BGF's characters, and whitespace and line breaks that text may
+# also hold: str.splitlines() breaks lines at the last three.
+FUZZ_ALPHABET = "vex 0123_-+#\n\t\r\x0c\x85\u2028"
+FUZZ_COMMANDS = [["solve", "-"]] + [["hitting-set", "-", "-k", str(k)] for k in range(1, 9)]
+FUZZ_BASES = [
+    format_instance(generate_instance(12, 20, 0.4, family, seed))
+    for family, seed in ((None, 1), ({"--": 1, "-+": 1, "+-": 0, "++": 0}, 2))
+]
+
+
+def run_on_stdin(argv: list[str], text: str) -> tuple[int, str, str]:
+    """main(argv) with text on stdin: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin = io.TextIOWrapper(io.BytesIO(text.encode()), "utf-8")
+    with mock.patch("sys.stdin", stdin), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@lru_cache(maxsize=None)
+def base_answers(text: str) -> list[tuple[int, str, str]]:
+    return [run_on_stdin(argv, text) for argv in FUZZ_COMMANDS]
+
+
+@st.composite
+def mutated_bgf(draw) -> str:
+    """Canonical BGF with runs of characters inserted, deleted or doubled."""
+    text = draw(st.sampled_from(FUZZ_BASES))
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "delete", "duplicate")))
+        if kind == "insert":
+            text = text[:i] + draw(st.text(FUZZ_ALPHABET, min_size=1, max_size=8)) + text[i:]
+        else:
+            j = i + draw(st.integers(1, 8))
+            text = text[:i] + (text[i:j] * 2 if kind == "duplicate" else "") + text[j:]
+    return text
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_bgf())
+def test_mutated_bgf_keeps_the_exit_code_contract(text):
+    for argv in FUZZ_COMMANDS:
+        code, _, err = run_on_stdin(argv, text)
+        assert code in (0, 1, 2), (argv, err)
+        assert err.count("\n") <= 1 and "internal" not in err, (argv, err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(FUZZ_BASES),
+    st.integers(0, 100),
+    st.text(FUZZ_ALPHABET.replace("\n", "").replace("\r", ""), max_size=12),
+)
+def test_a_comment_line_leaves_every_answer_unchanged(text, at, note):
+    lines = text.splitlines(keepends=True)
+    i = at % len(lines)
+    commented = "".join(lines[:i] + [f"#{note}\n"] + lines[i:])
+    assert [run_on_stdin(argv, commented) for argv in FUZZ_COMMANDS] == base_answers(text)
 
 
 def test_non_utf8_bytes_on_real_stdin_are_a_parse_error():
@@ -772,8 +853,6 @@ def test_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_stdin_instance(k5_file, capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(K5_BGF))
     assert main(["solve", "-", "--format", "machine"]) == 0
     assert machine_lines(capsys.readouterr().out)["k"] == ["2"]

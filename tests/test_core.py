@@ -271,7 +271,7 @@ def test_reversal_preserves_validity(gx):
     rows = list(g.edge_ends())
     for eid, (eu, _, ev, _) in enumerate(rows):
         p = SignedPath((eu, ev), (eid,))
-        assert is_valid_path(g, p.reversed())
+        assert is_valid_path(g, SignedPath(p.vertices[::-1], p.edges[::-1]))
         for fid, (fu, _, fv, _) in enumerate(rows):
             if fid == eid or ev not in (fu, fv):
                 continue
@@ -279,7 +279,7 @@ def test_reversal_preserves_validity(gx):
             if w == eu:
                 continue
             q = SignedPath((eu, ev, w), (eid, fid))
-            assert is_valid_path(g, q) == is_valid_path(g, q.reversed())
+            assert is_valid_path(g, q) == is_valid_path(g, SignedPath(q.vertices[::-1], q.edges[::-1]))
 
 
 def _kept(sign_u, sign_v, s, t) -> bool:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from bidipath.errors import InternalDualityMismatch
 from bidipath.matching import _Matcher
-from bidipath.oracle import brute_matching
 from helpers import (
     Multigraph,
     auxiliary,
@@ -24,6 +23,7 @@ from helpers import (
     tutte_berge_value,
     weak_components,
 )
+from oracles import brute_matching
 
 
 def complete(n: int) -> Multigraph:

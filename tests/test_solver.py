@@ -32,7 +32,7 @@ from bidipath.errors import (
     UnknownVertex,
 )
 from bidipath.matching import _Matcher
-from bidipath.oracle import brute_dual_value, enumerate_x_paths, has_x_path
+from bidipath.oracle import enumerate_x_paths
 from bidipath.solver import _check_packing, _copies, _packing, paths_or_hitting_set
 from helpers import (
     SIGN_FAMILIES,
@@ -54,6 +54,7 @@ from helpers import (
     split_edge,
     verify_component_correspondence,
 )
+from oracles import brute_dual_value, has_x_path
 
 
 def single_x_edge():
