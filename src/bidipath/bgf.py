@@ -7,14 +7,15 @@ Directives, one per line:
     e U SIGN_U V SIGN_V     declare an edge; signs are '-' or '+'
     x NAME [NAME ...]       add vertices to the terminal set X
 
-Names match [A-Za-z0-9_]+. Duplicate edges are allowed, duplicate vertex
-declarations are not.
+Names match [A-Za-z0-9_]+, and a line ends at LF, CRLF or a lone CR.
+Duplicate edges are allowed, duplicate vertex declarations are not.
 
 `format_instance` writes one canonical layout: the `v` lines, then the `e`
 lines, then the `x` lines, with single spaces and a newline after every line.
 `parse_instance` reads text in that layout in bulk, and any other text, or
 canonical text with a fault in it, line by line; only the line loop names a
-fault, with its line and column.
+fault, with its line and column. These rules, and UTF-8 decoding, hold
+for `convert`'s edge lists too: no other module reads input text.
 """
 
 from __future__ import annotations
@@ -32,15 +33,16 @@ from .errors import (
     UnknownVertex,
 )
 
-_NAME = re.compile(r"[A-Za-z0-9_]+\Z")
+_NAME_CLASS = "[A-Za-z0-9_]+"
+_NAME = re.compile(_NAME_CLASS + r"\Z")
 _TOKEN = re.compile(r"\S+")
 _SIGNS = {"-": MINUS, "+": PLUS}
 # The three kinds of line of the layout `format_instance` writes, in order.
 # A repeated group costs `re` one stack frame per repeat until the match
 # ends, so lines are matched about `_CHUNK` characters at a time.
-_V_LINES = re.compile(r"(?:v [A-Za-z0-9_]+\n)*")
-_E_LINES = re.compile(r"(?:e [A-Za-z0-9_]+ [-+] [A-Za-z0-9_]+ [-+]\n)*")
-_X_LINES = re.compile(r"(?:x(?: [A-Za-z0-9_]+)+\n)*")
+_V_LINES = re.compile(rf"(?:v {_NAME_CLASS}\n)*")
+_E_LINES = re.compile(rf"(?:e {_NAME_CLASS} [-+] {_NAME_CLASS} [-+]\n)*")
+_X_LINES = re.compile(rf"(?:x(?: {_NAME_CLASS})+\n)*")
 _CHUNK = 1 << 16
 
 
@@ -87,17 +89,46 @@ def _column(raw: str, index: int) -> int:
     return spans[index][0] + 1 if index < len(spans) else spans[-1][1] + 1
 
 
+def _newlines(text: str) -> str:
+    """text with CRLF and lone CR made LF; the test for a CR is the cheap part."""
+    if "\r" in text:
+        return text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _decode(data: bytes) -> str:
+    """data as UTF-8 text; a byte that is not UTF-8 raises ParseError at
+    its line and column, lines ended as `_newlines` ends them."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # Decoding stops at the first bad byte: the bytes before it are UTF-8.
+        head = _newlines(data[: exc.start].decode("utf-8"))
+        message = f"not UTF-8 text: byte {data[exc.start]:#04x}"
+        raise ParseError(message, head.count("\n") + 1, len(head) - head.rfind("\n")) from None
+
+
+def _directive_lines(text: str):
+    """(number, raw, tokens) of each line of LF-ended text but the blank
+    ones and those whose first token starts with '#' (comments)."""
+    for number, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split()
+        if tokens and not tokens[0].startswith("#"):
+            yield number, raw, tokens
+
+
 def parse_instance(text: str) -> Instance:
     """Parse BGF text; diagnostics carry 1-based line and column.
 
     Vertex ids follow declaration order. The edges are collected as four
     parallel lists and written to the graph in one append, unchecked: every
     id came out of the parse's own name table and every sign out of
-    `_SIGNS`, and each read refuses loops itself. Text in the canonical
-    layout is read in bulk; the line loop `_parse_lines` reads any other
-    text and any canonical text the bulk read refuses, and so names every
-    fault.
+    `_SIGNS`, and each read refuses loops itself. Line ends are made LF
+    first, so CRLF text in the canonical layout is read in bulk too; the
+    line loop `_parse_lines` reads any other text and any canonical text
+    the bulk read refuses, and so names every fault.
     """
+    text = _newlines(text)
     instance = _parse_canonical(text)
     return instance if instance is not None else _parse_lines(text)
 
@@ -150,7 +181,7 @@ def _parse_canonical(text: str) -> Instance | None:
             vs[i:j] = map(ids.__getitem__, tokens[3::5])
             svs[i:j] = map(_SIGNS.__getitem__, tokens[4::5])
             i = j
-        for line in text[e_cuts[-1] :].splitlines():
+        for line in text[e_cuts[-1] :].split("\n"):
             x.update(map(ids.__getitem__, line.split()[1:]))
     except KeyError:
         return None
@@ -163,10 +194,9 @@ def _parse_canonical(text: str) -> Instance | None:
 
 
 def _parse_lines(text: str) -> Instance:
-    """Parse BGF text line by line, raising on the first fault with its
-    line and column."""
-    names: list[str] = []
-    ids: dict[str, VertexId] = {}
+    """Parse LF-ended BGF text line by line, raising on the first fault
+    with its line and column."""
+    ids: dict[str, VertexId] = {}  # in declaration order
     x: set[VertexId] = set()
     us: list[VertexId] = []
     sus: list[Sign] = []
@@ -190,10 +220,7 @@ def _parse_lines(text: str) -> Instance:
             fail(index, f"expected '-' or '+', got {tokens[index]!r}")
         return _SIGNS[tokens[index]]
 
-    for number, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
+    for number, raw, tokens in _directive_lines(text):
         directive = tokens[0]
         if directive == "e":
             if len(tokens) != 5:
@@ -224,19 +251,37 @@ def _parse_lines(text: str) -> Instance:
                 raise DuplicateVertex(
                     f"line {number}: vertex {name!r} declared twice"
                 )
-            ids[name] = len(names)
-            names.append(name)
+            ids[name] = len(ids)
         elif directive == "x":
             if len(tokens) < 2:
                 fail(1, "expected: x NAME [NAME ...]")
             for index in range(1, len(tokens)):
                 x.add(lookup(index))
-        elif not directive.startswith("#"):
+        else:
             fail(0, f"unknown directive {directive!r}")
     graph = BidirectedMultigraph()
-    graph.add_vertices(len(names))
+    graph.add_vertices(len(ids))
     graph._append(us, sus, vs, svs)
-    return Instance(graph.freeze(), frozenset(x), tuple(names))
+    return Instance(graph.freeze(), frozenset(x), tuple(ids))
+
+
+def _parse_edge_list(text: str) -> tuple[list[str], list[tuple[VertexId, VertexId]]]:
+    """The names of an edge list (one `U V` pair a line, blank and comment
+    lines as in BGF) in order of first appearance, and its pairs as ids."""
+    ids: dict[str, VertexId] = {}  # in order of first appearance
+    pairs: list[tuple[VertexId, VertexId]] = []
+    for number, raw, tokens in _directive_lines(_newlines(text)):
+        if len(tokens) != 2:
+            raise ParseError("expected: U V", number, 1)
+        for index, name in enumerate(tokens):
+            if not _NAME.match(name):
+                raise ParseError(f"invalid vertex name {name!r}", number, _column(raw, index))
+        u = ids.setdefault(tokens[0], len(ids))
+        v = ids.setdefault(tokens[1], len(ids))
+        if u == v:
+            raise LoopRejected(f"line {number}: loop at {tokens[0]!r}")
+        pairs.append((u, v))
+    return list(ids), pairs
 
 
 def format_instance(instance: Instance) -> str:

@@ -1,5 +1,7 @@
 """Command-line interface: solve, hitting-set, convert, generate, export-dot, verify.
 
+Input files and stdin are read as bytes; `bgf` decodes and parses them.
+
 Exit codes: 0 success, 1 usage error (an unreadable input file or running
 out of memory included), 2 parse error, 3 internal assertion failure (a
 certified quantity failed to verify, or any other unexpected error; either
@@ -13,7 +15,7 @@ import gc
 import sys
 from pathlib import Path
 
-from .bgf import _NAME, Instance, _column, format_instance, parse_instance
+from .bgf import Instance, _decode, _parse_edge_list, format_instance, parse_instance
 from .core import from_digraph, from_undirected
 from .dot import export_dot
 from .errors import (
@@ -44,23 +46,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_text(path: str) -> str:
-    try:
-        if path == "-":
-            if not hasattr(sys.stdin, "buffer"):  # an in-memory text stream
-                return sys.stdin.read()
-            # Decode the bytes here: the stream's own error handler may be
-            # surrogateescape, which would let bytes that are not UTF-8 in.
-            return sys.stdin.buffer.read().decode("utf-8")
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole input at once, so exc.object is all of it.
-        data, start = exc.object, exc.start
-        line_start = data.rfind(b"\n", 0, start) + 1
-        raise ParseError(
-            f"not UTF-8 text: byte {data[start]:#04x}",
-            data.count(b"\n", 0, start) + 1,
-            len(data[line_start:start].decode("utf-8")) + 1,
-        ) from None
+    if path != "-":
+        return _decode(Path(path).read_bytes())
+    if not hasattr(sys.stdin, "buffer"):  # an in-memory text stream
+        return sys.stdin.read()
+    # Bytes: the stream's own error handler may be surrogateescape, which lets bad bytes in.
+    return _decode(sys.stdin.buffer.read())
 
 
 def _render_path(instance: Instance, path) -> str:
@@ -145,36 +136,10 @@ def _cmd_hitting_set(args) -> int:
     return EXIT_OK
 
 
-def _parse_edge_list(text: str) -> tuple[list[str], list[tuple[int, int]]]:
-    names: list[str] = []
-    ids: dict[str, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for number, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        if raw.lstrip().startswith("#") or not raw.split():
-            continue
-        tokens = raw.split()
-        if len(tokens) != 2:
-            raise ParseError("expected: U V", number, 1)
-        for index, name in enumerate(tokens):
-            if not _NAME.match(name):
-                raise ParseError(f"invalid vertex name {name!r}", number, _column(raw, index))
-            if name not in ids:
-                ids[name] = len(names)
-                names.append(name)
-        u, v = ids[tokens[0]], ids[tokens[1]]
-        if u == v:
-            raise LoopRejected(f"line {number}: loop at {tokens[0]!r}")
-        pairs.append((u, v))
-    return names, pairs
-
-
 def _cmd_convert(args) -> int:
     names, pairs = _parse_edge_list(_read_text(args.input))
-    if args.mode == "digraph":
-        graph = from_digraph(len(names), pairs)
-    else:
-        graph = from_undirected(len(names), pairs)
-    instance = Instance.from_graph(graph.freeze(), frozenset(), tuple(names))
+    encode = from_digraph if args.mode == "digraph" else from_undirected
+    instance = Instance.from_graph(encode(len(names), pairs).freeze(), frozenset(), tuple(names))
     sys.stdout.write(format_instance(instance))
     return EXIT_OK
 

@@ -9,7 +9,6 @@ vertex set X exactly in its two endpoints.
 from __future__ import annotations
 
 import enum
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -57,10 +56,10 @@ class BidirectedMultigraph:
 
     Edges are stored as four parallel lists indexed by edge id: the two
     endpoints and their signs. `_append` is the one code that extends them,
-    with a batch its caller has checked: `add_edges` checks a whole batch
-    first, `add_edge` is a batch of one, and the BGF parse appends the lists
-    it resolved from its own name and sign tables. Nothing derived is kept:
-    no incidence lists and no edge objects. `edge_ends()` is the bulk read,
+    with a batch its caller has checked: `add_edges` checks a batch in one
+    loop, `add_edge` is a batch of one, and the BGF reads and `generate`
+    append ids and signs they made themselves. Nothing derived is kept: no
+    incidence lists and no edge objects. `edge_ends()` is the bulk read,
     and a caller that walks adjacency (the oracle) indexes its own from it.
     """
 
@@ -100,26 +99,18 @@ class BidirectedMultigraph:
         """
         if self._frozen:
             raise GraphFrozen("cannot add an edge to a frozen graph")
-        count = len(us)
-        if not len(sus) == len(vs) == len(svs) == count:
+        if not len(us) == len(sus) == len(vs) == len(svs):
             raise ValueError("add_edges needs four lists of equal length")
-        if count and (
-            not set(map(type, us)).union(map(type, vs)) <= {int}
-            or min(min(us), min(vs)) < 0
-            or max(max(us), max(vs)) >= self._n
-            or any(map(operator.eq, us, vs))
-            or not set(map(type, sus)) | set(map(type, svs)) <= {Sign}
-        ):
-            n = self._n
-            for u, sign_u, v, sign_v in zip(us, sus, vs, svs):
-                if u == v:
-                    raise LoopRejected(f"loop at vertex {u}")
-                for w in (u, v):
-                    if type(w) is not int or not 0 <= w < n:
-                        raise UnknownVertex(f"vertex {w!r} does not exist")
-                for sign in (sign_u, sign_v):
-                    if type(sign) is not Sign:
-                        raise InvalidParameter(f"end-sign {sign!r} is not a Sign")
+        n = self._n
+        for u, sign_u, v, sign_v in zip(us, sus, vs, svs):
+            if u == v:
+                raise LoopRejected(f"loop at vertex {u}")
+            for w in (u, v):
+                if type(w) is not int or not 0 <= w < n:
+                    raise UnknownVertex(f"vertex {w!r} does not exist")
+            for sign in (sign_u, sign_v):
+                if type(sign) is not Sign:
+                    raise InvalidParameter(f"end-sign {sign!r} is not a Sign")
         return self._append(us, sus, vs, svs)
 
     def _append(
@@ -177,8 +168,6 @@ class BidirectedMultigraph:
         """`vs` as a frozenset; UnknownVertex names an id that is not an int
         in range."""
         out = frozenset(vs)
-        # A plain loop: for int ids it is faster than the bulk min/max and
-        # set(map(type, ...)) test of add_edges.
         for v in out:
             if type(v) is not int or not 0 <= v < self._n:
                 raise UnknownVertex(f"vertex {v!r} does not exist")

@@ -19,7 +19,7 @@ def export_dot(
     cert: Certificate | None = None,
     hitting: HittingSet | None = None,
 ) -> str:
-    """Render the instance, highlighting at most one overlay."""
+    """Render the instance, highlighting every overlay it is given."""
     g = instance.graph
     vertex_attrs: dict[int, list[str]] = {v: [] for v in g.vertices()}
     edge_attrs: dict[int, list[str]] = {e: [] for e in range(g.edge_count)}

@@ -110,7 +110,7 @@ def generate_instance(
         sus.append(sign_u)
         vs.append(v)
         svs.append(sign_v)
-    graph.add_edges(us, sus, vs, svs)
+    graph._append(us, sus, vs, svs)  # ints in range, never a loop, `Sign` end-signs
     x_size = math.ceil(x_frac * n)
     x = frozenset(rng.sample(range(n), x_size))
     return Instance.from_graph(graph.freeze(), x)

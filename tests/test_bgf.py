@@ -290,6 +290,8 @@ def test_both_reads_append_their_edges_without_add_edges_checks(text, monkeypatc
     assert list(instance.graph.edge_ends()) == [(0, MINUS, 1, PLUS), (1, PLUS, 0, PLUS)]
     with pytest.raises(LoopRejected, match="loop at vertex 'b'"):
         parse_instance(text.replace("e a - b +", "e b - b +"))
+    # Nor does generate, whose draws are ints in range, never loops, and Signs.
+    assert generate_instance(40, 120, 0.2, seed=1).graph.edge_count == 120
 
 
 # The sign families of the benchmark's workloads.
@@ -307,16 +309,18 @@ def test_format_instance_output_never_reaches_the_line_loop(monkeypatch):
 
     # n = 3000 writes about 170 KB: more than one run of e lines.
     expected = [
-        generate_instance(n, 3 * n, 0.2, family, n)
+        (generate_instance(n, 3 * n, 0.2, family, n), newline)
         for family in BENCH_FAMILIES
         for n in (2, 40, 600, 3000)
+        # CRLF and lone-CR text is made LF before either read sees it.
+        for newline in ("\n", "\r\n", "\r") if newline == "\n" or n in (2, 600)
     ]
     monkeypatch.setattr(bidipath.bgf, "_parse_lines", refused)
     # A run of 16 characters is shorter than most lines, and than every x line.
     for chunk in (bidipath.bgf._CHUNK, 16):
         monkeypatch.setattr(bidipath.bgf, "_CHUNK", chunk)
-        for instance in expected:
-            again = parse_instance(format_instance(instance))
+        for instance, newline in expected:
+            again = parse_instance(format_instance(instance).replace("\n", newline))
             assert again.names == instance.names
             assert again.x == instance.x
             assert list(again.graph.edge_ends()) == list(instance.graph.edge_ends())

@@ -475,11 +475,17 @@ def test_verify_rejects_a_negative_limit(k5_file, capsys):
 
 
 def test_non_utf8_instance_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # The bad byte is placed by the line ends the parser counts, so a lone
+    # CR ends line 1 as LF and CRLF do, from a file and from stdin alike.
     path = tmp_path / "latin1.bgf"
-    path.write_bytes(b"v a\nv b\xff\n")
-    assert main(["solve", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert err == "bidipath: line 2, column 4: not UTF-8 text: byte 0xff\n"
+    for newline in (b"\n", b"\r\n", b"\r"):
+        data = b"v a" + newline + b"v b\xff\n"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        for source in (str(path), "-"):
+            assert main(["solve", source]) == 2, (newline, source)
+            err = capsys.readouterr().err
+            assert err == "bidipath: line 2, column 4: not UTF-8 text: byte 0xff\n", (newline, source)
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"v a\xff\n"), "utf-8"))
     assert main(["solve", "-"]) == 2
     err = capsys.readouterr().err
@@ -960,17 +966,34 @@ def test_cli_output_matches_the_recorded_digest(tmp_path, capsys):
 RECORDED_GENERATE_DIGEST = "ed8f30b3010f2b841d28844c9e51c576274ebfcc76447f689ce3a1e55147c134"
 
 
-def test_generate_output_matches_the_recorded_digest():
-    digest = hashlib.sha256()
+def generate_digest_instances():
+    """The instances whose BGF text the generate digest pins, in order."""
     seed = 0
     for family in (*CLI_DIGEST_FAMILIES[:4], {"--": 0, "-+": 2.5, "+-": 1, "++": 0}):
         for n in (1, 2, 3, 16, 17, 31, 33, 1500):
             for m in (0, 3 * n) if n > 1 else (0,):
                 for x_frac in (0, 0.2, 1):
                     seed += 1
-                    instance = generate_instance(n, m, x_frac, family, seed)
-                    digest.update(format_instance(instance).encode())
+                    yield generate_instance(n, m, x_frac, family, seed)
+
+
+def test_generate_output_matches_the_recorded_digest():
+    digest = hashlib.sha256()
+    for instance in generate_digest_instances():
+        digest.update(format_instance(instance).encode())
     assert digest.hexdigest() == RECORDED_GENERATE_DIGEST
+
+
+def test_generate_appends_only_edges_that_add_edges_accepts():
+    # generate appends its draws unchecked: every one must pass the checks
+    # it skips, and come out as the same lists.
+    for instance in generate_digest_instances():
+        g = instance.graph
+        ends = [list(column) for column in zip(*g.edge_ends())] or [[], [], [], []]
+        again = BidirectedMultigraph()
+        again.add_vertices(g.vertex_count)
+        assert again.add_edges(*ends) == range(g.edge_count)
+        assert list(again.edge_ends()) == list(g.edge_ends())
 
 
 # sha256 of the same requests' exit codes and stdout without the `path:`

@@ -372,6 +372,37 @@ def test_switching_the_signs_at_f_moves_f_between_s_and_t(family, n, ratio, seed
     assert after.hitting_set.y == before.hitting_set.y
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SIGN_FAMILIES),
+    st.integers(5, 60),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_padding_leaves_k_the_certificate_and_y_unchanged(family, n, ratio, seed, x_pad, rng):
+    # An isolated X-vertex lies on no X-path, and a new component with no
+    # X-vertex holds none; the vertices before the padding keep their ids.
+    sign_dist, x_frac = family
+    inst = generate_instance(n, ratio * n, x_frac, sign_dist, seed)
+    g, x = inst.graph, inst.x
+    h = BidirectedMultigraph()
+    h.add_vertices(g.vertex_count)
+    h.add_edges(*map(list, zip(*g.edge_ends())))
+    if x_pad:
+        x = x | frozenset(h.add_vertices(rng.randint(1, 3)))
+    else:
+        component = h.add_vertices(rng.randint(1, 8))
+        for _ in range(rng.randint(0, 12) if len(component) > 1 else 0):
+            u, v = rng.sample(component, 2)
+            h.add_edge(u, rng.choice((MINUS, PLUS)), v, rng.choice((MINUS, PLUS)))
+    before, after = solve(g, inst.x), solve(h.freeze(), x)
+    assert after.packing.k == before.packing.k
+    assert after.certificate == before.certificate
+    assert after.hitting_set.y == before.hitting_set.y
+
+
 def test_hitting_set_empty_when_no_paths_at_k1():
     g = BidirectedMultigraph()
     g.add_vertices(3)
