@@ -26,7 +26,6 @@ from .solver import (
     HittingSet,
     PackingResult,
     Solution,
-    certificate,
     solve,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "Sign",
     "SignedPath",
     "Solution",
-    "certificate",
     "dual_value",
     "export_dot",
     "format_instance",

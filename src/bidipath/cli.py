@@ -151,18 +151,16 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
+# Each `--overlay` choice, with the `Solution` attribute that export-dot draws.
+_OVERLAYS = {"paths": "packing", "certificate": "certificate", "hitting-set": "hitting_set"}
+
+
 def _cmd_export_dot(args) -> int:
     instance = parse_instance(_read_text(args.instance))
-    packing = cert = hitting = None
+    overlay = None
     if args.overlay is not None:
-        solution = solve(instance.graph, instance.x)
-        if args.overlay == "paths":
-            packing = solution.packing
-        elif args.overlay == "certificate":
-            cert = solution.certificate
-        else:
-            hitting = solution.hitting_set
-    sys.stdout.write(export_dot(instance, packing, cert, hitting))
+        overlay = getattr(solve(instance.graph, instance.x), _OVERLAYS[args.overlay])
+    sys.stdout.write(export_dot(instance, overlay))
     return EXIT_OK
 
 
@@ -182,7 +180,7 @@ def _verify_one(path: str, limit: int) -> dict:
     except LimitExceeded:
         report["oracle-packing"] = "skipped"
     try:
-        value, _, _ = oracle.brute_dual_min(g, x)
+        value = oracle.brute_dual_min(g, x)
         report["oracle-dual"] = value
         ok = ok and value == k
     except LimitExceeded:
@@ -267,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-dot", help="render the instance as DOT")
     p.add_argument("instance", help="BGF file, or - for stdin")
-    p.add_argument("--overlay", choices=("paths", "certificate", "hitting-set"))
+    p.add_argument("--overlay", choices=tuple(_OVERLAYS))
     p.set_defaults(func=_cmd_export_dot)
 
     p = sub.add_parser("verify", help="cross-check the solver against the oracles")

@@ -1,6 +1,6 @@
 """Maximum matching in general multigraphs, with its Gallai-Edmonds A-set.
 
-A multigraph is given by its adjacency over range(vertex_count): `nbrs[v]`
+A multigraph is given by its adjacency, one list per vertex: `nbrs[v]`
 lists v's neighbours, one entry per edge at v, so an edge joining u and v
 is listed once at each end. The matcher is Edmonds' blossom-shrinking
 search, run as one alternating forest grown from every exposed vertex at
@@ -24,15 +24,15 @@ class _Matcher:
     """One alternating forest over a multigraph, grown by `run`.
 
     The caller builds both tables and hands them over: the adjacency `nbrs`,
-    and `match`, each vertex's mate (-1 if exposed), which must be a
-    matching of the multigraph and is the seed that `run` grows. The forest
-    labels (even, parent, base) are allocated once. Scanning follows the
-    order of `nbrs` and of the vertex ids, so the matching, the paths
-    flipped and the final forest are reproducible.
+    whose length is the vertex count, and `match`, each vertex's mate (-1 if
+    exposed), which must be a matching of the multigraph and is the seed
+    that `run` grows. The forest labels (even, parent, base) are allocated
+    once. Scanning follows the order of `nbrs` and of the vertex ids, so the
+    matching, the paths flipped and the final forest are reproducible.
     """
 
-    def __init__(self, vertex_count: int, nbrs: list[list[int]], match: list[int]):
-        n = self.n = vertex_count
+    def __init__(self, nbrs: list[list[int]], match: list[int]):
+        n = self.n = len(nbrs)
         self.nbrs = nbrs
         self.match = match
         self.even = [False] * n

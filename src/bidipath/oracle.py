@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive and independent of the solving
 pipeline: exhaustive path enumeration, set-packing by branch and bound,
-and dual minimization over every admissible (S, T). Hard size guards
+and the least dual value over every admissible (S, T). Hard size guards
 raise LimitExceeded instead of running forever.
 The graph is read only through `edge_ends()`, `vertices()`, `vertex_count`
 and `check_vertex_set()`; the path search indexes its own adjacency.
@@ -162,14 +162,11 @@ def _masked_dual(
     return bin(s_mask & t_mask).count("1") + sum(c // 2 for c in counts.values())
 
 
-def brute_dual_min(
-    g: BidirectedMultigraph, x: Iterable[VertexId]
-) -> tuple[int, frozenset[VertexId], frozenset[VertexId]]:
-    """Minimum dual bound over every admissible (S, T), with one minimizer.
+def brute_dual_min(g: BidirectedMultigraph, x: Iterable[VertexId]) -> int:
+    """Minimum dual bound over every admissible (S, T).
 
-    Ties are broken toward the lexicographically least (sorted-S, sorted-T)
-    pair. Admissibility means X ∩ S = X ∩ T, so an X-vertex is either in
-    both sets or in neither.
+    Admissibility means X ∩ S = X ∩ T, so an X-vertex is either in both
+    sets or in neither.
     """
     xs = g.check_vertex_set(x)
     n = g.vertex_count
@@ -186,33 +183,12 @@ def brute_dual_min(
         for v in range(n)
     ]
 
-    best: tuple[int, tuple[int, ...], tuple[int, ...]] | None = None
-    best_masks = (0, 0)
-
-    def mask_key(mask: int) -> tuple[int, ...]:
-        return tuple(v for v in range(n) if mask >> v & 1)
-
-    def assign(v: int, s_mask: int, t_mask: int) -> None:
-        nonlocal best, best_masks
+    def assign(v: int, s_mask: int, t_mask: int) -> int:
         if v == n:
-            value = _masked_dual(n, edges, x_mask, s_mask, t_mask)
-            if best is None or value < best[0]:
-                best = (value, mask_key(s_mask), mask_key(t_mask))
-                best_masks = (s_mask, t_mask)
-            elif value == best[0]:
-                key = (value, mask_key(s_mask), mask_key(t_mask))
-                if key < best:
-                    best = key
-                    best_masks = (s_mask, t_mask)
-            return
-        for in_s, in_t in options[v]:
+            return _masked_dual(n, edges, x_mask, s_mask, t_mask)
+        return min(
             assign(v + 1, s_mask | in_s << v, t_mask | in_t << v)
+            for in_s, in_t in options[v]
+        )
 
-    assign(0, 0, 0)
-    assert best is not None
-    s_mask, t_mask = best_masks
-    return (
-        best[0],
-        frozenset(v for v in range(n) if s_mask >> v & 1),
-        frozenset(v for v in range(n) if t_mask >> v & 1),
-    )
+    return assign(0, 0, 0)

@@ -311,7 +311,7 @@ def _grow(
         b = (at_minus if sign_v is MINUS else at_plus)[v]
         nbrs[a].append(b)
         nbrs[b].append(a)
-    matcher = _Matcher(n2, nbrs, match)
+    matcher = _Matcher(nbrs, match)
     matcher.run(limit)
     return _packing(g, xs, at_minus, at_plus, matcher.match), matcher
 

@@ -78,7 +78,7 @@ def edge_matcher(
     for eid in seed:
         match[us[eid]] = vs[eid]
         match[vs[eid]] = us[eid]
-    return _Matcher(vertex_count, nbrs, match)
+    return _Matcher(nbrs, match)
 
 
 def grow_matching(

@@ -23,7 +23,6 @@ PUBLIC = [
     "Sign",
     "SignedPath",
     "Solution",
-    "certificate",
     "dual_value",
     "export_dot",
     "format_instance",
@@ -64,6 +63,8 @@ def test_all_is_the_pinned_surface_and_resolves():
     assert sorted(bidipath.__all__) == PUBLIC
     for name in PUBLIC:
         assert getattr(bidipath, name) is not None
+    # `certificate(g, X)` answers only at `bidipath.solver`, for the benchmark's check.
+    assert not hasattr(bidipath, "certificate")
 
 
 def test_deleted_names_are_gone():

@@ -359,12 +359,27 @@ def test_export_dot_certificate_overlay(tmp_path, capsys):
 
 def test_export_dot_fills_s_only_and_t_only_vertices():
     instance = parse_instance("v a\nv b\nv c\ne a - b -\n")
-    out = bidipath.export_dot(instance, cert=Certificate(frozenset({0}), frozenset({1})))
+    out = bidipath.export_dot(instance, Certificate(frozenset({0}), frozenset({1})))
     assert out.splitlines()[2:5] == [
         '  "a" [style=filled fillcolor=lightblue comment="S"];',
         '  "b" [style=filled fillcolor=lightgreen comment="T"];',
         '  "c";',
     ]
+
+
+@pytest.mark.parametrize("instance", [
+    # v13 lies in Y and in S∪T, so drawing Y over (S, T) would fill it twice.
+    generate_instance(14, 30, 0.3, {"--": 3, "-+": 1, "+-": 1, "++": 1}, 0),
+    parse_instance(K5_BGF),
+])
+def test_export_dot_draws_one_overlay_with_one_style_per_vertex(instance):
+    solution = solve(instance.graph, instance.x)
+    for overlay in (solution.packing, solution.certificate, solution.hitting_set):
+        out = bidipath.export_dot(instance, overlay)
+        assert not [line for line in out.splitlines() if line.count("style=") > 1]
+    path = solution.packing.paths[0]
+    with pytest.raises(InvalidParameter, match="cannot draw a SignedPath as an overlay"):
+        bidipath.export_dot(instance, path)
 
 
 def test_verify_reports_agreement(k5_file, capsys):

@@ -15,7 +15,6 @@ from bidipath import (
     Certificate,
     PackingResult,
     SignedPath,
-    certificate,
     dual_value,
     from_digraph,
     generate_instance,
@@ -33,7 +32,7 @@ from bidipath.errors import (
 )
 from bidipath.matching import _Matcher
 from bidipath.oracle import enumerate_x_paths
-from bidipath.solver import _check_packing, _copies, _packing, paths_or_hitting_set
+from bidipath.solver import _check_packing, _copies, _packing, certificate, paths_or_hitting_set
 from helpers import (
     SIGN_FAMILIES,
     auxiliary,
@@ -401,6 +400,42 @@ def test_padding_leaves_k_the_certificate_and_y_unchanged(family, n, ratio, seed
     assert after.packing.k == before.packing.k
     assert after.certificate == before.certificate
     assert after.hitting_set.y == before.hitting_set.y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([sign_dist for sign_dist, _ in SIGN_FAMILIES]),
+    st.integers(2, 60),
+    st.sampled_from([0.1, 0.2, 0.5, 1.0]),
+    st.integers(1, 4),
+    st.integers(0, 2**31 - 1),
+)
+def test_relabelling_maps_the_certificate_and_keeps_k(sign_dist, n, x_frac, ratio, seed):
+    # Renaming the vertices by pi, renumbering the edges and writing an edge
+    # from its other end change no X-path, and the Gallai-Edmonds A-set of
+    # the auxiliary graph does not depend on ids: (S, T) maps to pi(S, T).
+    # Y is picked by id order, so only its bound carries over.
+    inst = generate_instance(n, ratio * n, x_frac, sign_dist, seed)
+    g, x = inst.graph, inst.x
+    rng = random.Random(seed)  # st.randoms made this test seven times slower
+    pi = list(g.vertices())
+    rng.shuffle(pi)
+    ends = [
+        (pi[u], su, pi[v], sv) if rng.random() < 0.5 else (pi[v], sv, pi[u], su)
+        for u, su, v, sv in g.edge_ends()
+    ]
+    rng.shuffle(ends)
+    h = BidirectedMultigraph()
+    h.add_vertices(g.vertex_count)
+    h.add_edges(*map(list, zip(*ends)))
+    before, after = solve(g, x), solve(h.freeze(), {pi[v] for v in x})
+    k = before.packing.k
+    assert after.packing.k == k
+    s, t = before.certificate.s, before.certificate.t
+    assert after.certificate == Certificate(
+        frozenset(pi[v] for v in s), frozenset(pi[v] for v in t)
+    )
+    assert len(after.hitting_set.y) <= 2 * k - len(after.certificate.s & after.certificate.t)
 
 
 def test_hitting_set_empty_when_no_paths_at_k1():
